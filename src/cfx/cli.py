@@ -163,6 +163,9 @@ def cmd_quantile(args):
 
 
 def cmd_cdf(args):
+    if args.mc and args.mc < oracle.MIN_REPLICATIONS:
+        raise ConfigError(f"--mc {args.mc}: a simulation needs at least "
+                          f"{oracle.MIN_REPLICATIONS} replications")
     table = _build_model(args)
     n = _model_n(args, table)
     ctx = _build_context(args, table, n)

@@ -165,13 +165,6 @@ def manifest(r):
     return tuple((2 * i - r, i) for i in range(lo, r + 2))
 
 
-def needed_for_order(R):
-    out = set()
-    for r in range(1, R + 1):
-        out.update(manifest(r))
-    return out
-
-
 def validate_for_order(atable, R):
     """Touch every coefficient an order-R expansion needs; raises
     ModelOrderError naming the first missing one."""

@@ -43,7 +43,10 @@ class OrderError(ValueError):
 def max_order():
     """The order guard; overridable through the CFX_MAX_ORDER variable."""
     env = os.environ.get("CFX_MAX_ORDER")
-    return int(env) if env else DEFAULT_MAX_ORDER
+    try:
+        return int(env) if env else DEFAULT_MAX_ORDER
+    except ValueError:
+        raise OrderError(f"CFX_MAX_ORDER={env!r} is not an integer") from None
 
 
 def _check_order(r):
@@ -177,9 +180,6 @@ class LPoly:
         for part, val in self.terms.items():
             out.append((part, val * part.norm))
         return sorted(out, key=lambda kv: kv[0])
-
-    def sorted_items(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def __repr__(self):
         inner = " + ".join(f"[{p.text()}]*({(v * p.norm).text()})"
@@ -362,16 +362,6 @@ def _delta(r):
     return 1 if r >= 3 else 0
 
 
-def lseries_from_atable(atable, kmax, order):
-    """The truncated adjusted-cumulant series: row k holds the coefficients
-    of L_k = sum_j (A_{k,k+j-delta}/k!) n^-j."""
-    rows = {}
-    for k in range(1, kmax + 1):
-        d = _delta(k)
-        rows[k] = [atable.abar(k, k + j - d) for j in range(order + 1)]
-    return LSeries(rows, order)
-
-
 class _LazyLSeries:
     """Adjusted-cumulant series backed directly by a coefficient table.
 
@@ -552,6 +542,7 @@ def cdf_expand(ctx, x, R):
 
     Returns the value, the base cdf, and the per-order contributions
     (term r is the whole correction -p(x) n^{-r/2} h_r(x))."""
+    _check_order(R)
     validate_context(ctx, R)
     base_value = ctx.base.cdf(x)
     px = ctx.base.pdf(x)
@@ -575,6 +566,7 @@ def quantile_expand(ctx, p, R, exact=None):
     """
     if not 0.0 < p < 1.0:
         raise basedist.DomainError(f"probability {p} not in (0, 1)")
+    _check_order(R)
     validate_context(ctx, R)
     x = ctx.base.inv_cdf(p)
     nn = float(ctx.n)
@@ -598,6 +590,7 @@ def density_expand(ctx, x, i, R):
     p(x) [H_i(x) + sum_{r<=R} n^{-r/2} h_{ir}(x)]."""
     if i < 0:
         raise ValueError("derivative order must be >= 0")
+    _check_order(R)
     validate_context(ctx, R)
     px = ctx.base.pdf(x)
     base_term = 1.0 if i == 0 else float(ctx.base.h_seq(x, i)[i - 1])

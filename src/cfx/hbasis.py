@@ -36,29 +36,41 @@ def a_sym(r):
     return Poly.atom(r)
 
 
-# -- ring operations (thin named wrappers over the Poly operators) ----------
+# -- the derivative rule -------------------------------------------------------
 
-def hp_add(p, q):
-    return p + q
+def _h1_plus_d(p, a, s):
+    """a H_1 p + s D p in one pass over the monomials of p.
 
+    By D H_r = H_1 H_r - H_{r+1}, a term c * mono sends (a + s*len(mono)) c
+    to H_1 * mono and, for each distinct index r of multiplicity k, -s k c
+    to mono with its last H_r raised to H_{r+1}, which keeps it sorted.
+    """
+    out = {}
 
-def hp_mul(p, q):
-    return p * q
+    def add(mono, v):
+        prev = out.get(mono)
+        if prev is not None:
+            v = prev + v
+        if v:
+            out[mono] = v
+        else:
+            out.pop(mono, None)
 
-
-def hp_scale(c, p):
-    return p * c
+    for mono, c in p.terms.items():
+        add((1,) + mono, (a + s * len(mono)) * c)
+        start = 0
+        for i, r in enumerate(mono):
+            if i + 1 == len(mono) or mono[i + 1] != r:
+                add(mono[:i] + (r + 1,) + mono[i + 1:], -s * (i + 1 - start) * c)
+                start = i + 1
+    res = Poly()
+    res.terms = out
+    return res
 
 
 def hp_diff(p):
     """Apply D to a polynomial in H via the product rule."""
-    out = Poly()
-    for mono, c in p.terms.items():
-        for pos, r in enumerate(mono):
-            rest = mono[:pos] + mono[pos + 1 :]
-            restp = Poly({rest: c})
-            out = out + restp * (Poly.atom(1) * Poly.atom(r) - Poly.atom(r + 1))
-    return out
+    return _h1_plus_d(p, 0, 1)
 
 
 def hp_eval(p, values):
@@ -84,7 +96,7 @@ def b_poly(i):
         raise ValueError("b index must be >= 0")
     if i not in _b_cache:
         prev = b_poly(i - 1)
-        _b_cache[i] = Poly.atom(1) * prev + hp_diff(prev)
+        _b_cache[i] = _h1_plus_d(prev, 1, 1)
     return _b_cache[i]
 
 
@@ -94,13 +106,13 @@ def c_function(k):
         raise ValueError("c index must be >= 1")
     if k not in _c_cache:
         prev = c_function(k - 1)
-        _c_cache[k] = Poly.atom(1) * prev * (k - 1) + hp_diff(prev)
+        _c_cache[k] = _h1_plus_d(prev, k - 1, 1)
     return _c_cache[k]
 
 
 def apply_J(m, p):
     """J_m p = m H_1 p - D p."""
-    return Poly.atom(1) * p * m - hp_diff(p)
+    return _h1_plus_d(p, m, -1)
 
 
 def apply_Dk(k, p):

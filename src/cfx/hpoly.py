@@ -70,9 +70,6 @@ class Poly:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_const(self):
-        return not self.terms or set(self.terms) == {()}
-
     def const_value(self):
         return self.terms.get((), Fraction(0))
 
@@ -167,14 +164,6 @@ class Poly:
         return result
 
     # -- structural maps ---------------------------------------------------
-
-    def map_coeffs(self, fn):
-        p = Poly()
-        for m, c in self.terms.items():
-            c = fn(c)
-            if c:
-                p.terms[m] = c
-        return p
 
     def shift_indices(self, delta):
         """Replace every index i by i + delta (used for derivative ladders)."""

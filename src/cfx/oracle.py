@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from . import basedist, hbasis
 from .bell import Seq, partial_ordinary_bell
 from .engine import LPoly, h_formal
@@ -149,11 +147,16 @@ def exact_lnF_quantile(n1, n2, p):
 # ---------------------------------------------------------------------------
 
 _SHARD = 200_000
+# values per population block: a shard's n-column sample is drawn a block of
+# rows at a time, which bounds memory and leaves the stream unchanged
+_BLOCK_VALUES = 1 << 20
+MIN_REPLICATIONS = 1000
 
 
 def _rng(seed, shard):
     # counter-based generator keyed by (seed, shard) so shard results are
     # independent of worker scheduling
+    import numpy as np
     return np.random.Generator(np.random.Philox(key=np.array(
         [seed & 0xFFFFFFFFFFFFFFFF, shard], dtype=np.uint64)))
 
@@ -174,7 +177,18 @@ def _population_moments(population):
     raise ValueError(f"unknown population {population!r}")
 
 
-def mc_cdf(spec, n, x, N, seed, workers=1):
+def _population_statistic(rng, m, n, population, stat):
+    """``stat`` applied to m samples of size n, drawn in row blocks."""
+    import numpy as np
+    y = np.empty(m)
+    rows = max(1, _BLOCK_VALUES // n)
+    for lo in range(0, m, rows):
+        hi = min(m, lo + rows)
+        y[lo:hi] = stat(_draw_population(rng, (hi - lo, n), population))
+    return y
+
+
+def mc_cdf(spec, n, x, N, seed):
     """Empirical P(Y <= x) for the standardized estimate described by
     ``spec``, with binomial standard error.
 
@@ -187,7 +201,8 @@ def mc_cdf(spec, n, x, N, seed, workers=1):
     shard's stream is keyed by (seed, shard index), so the result does not
     depend on how shards are scheduled.
     """
-    if N < 1000:
+    import numpy as np
+    if N < MIN_REPLICATIONS:
         raise ValueError(f"N={N} replications is too noisy to be meaningful")
     model = spec["model"]
     count = 0
@@ -204,16 +219,15 @@ def mc_cdf(spec, n, x, N, seed, workers=1):
             nn = 2.0 * n1 * n2 / (n1 + n2)
             y = math.sqrt(nn) * z
         elif model == "studentized_mean":
-            draws = _draw_population(rng, (m, int(n)), spec["population"])
-            mean = draws.mean(axis=1)
-            m2 = draws.var(axis=1)
-            y = math.sqrt(n) * mean / np.sqrt(m2)
+            y = _population_statistic(
+                rng, m, int(n), spec["population"],
+                lambda d: math.sqrt(n) * d.mean(axis=1) / np.sqrt(d.var(axis=1)))
         elif model == "sample_variance":
-            draws = _draw_population(rng, (m, int(n)), spec["population"])
-            m2 = draws.var(axis=1)
             mu = _population_moments(spec["population"])
             a21 = mu[4] - mu[2] ** 2
-            y = math.sqrt(n / a21) * (m2 - mu[2])
+            y = _population_statistic(
+                rng, m, int(n), spec["population"],
+                lambda d: math.sqrt(n / a21) * (d.var(axis=1) - mu[2]))
         else:
             raise ValueError(f"unknown model {model!r}")
         count += int(np.count_nonzero(y <= x))

@@ -223,12 +223,6 @@ class LSeries:
         except KeyError:
             raise SeqLengthError(f"no series stored for index {r}") from None
 
-    def leading(self):
-        """The plain sequence of leading coefficients L_0."""
-        top = max(self.rows) if self.rows else 0
-        return Seq([self.rows.get(r, [0])[0] if r in self.rows else 0
-                    for r in range(1, top + 1)])
-
 
 def _series_mul(a, b, order):
     out = [0] * (order + 1)

@@ -154,3 +154,34 @@ def test_cdf_mc_cross_check(capsys):
          "--nu5", "44", "--n", "200", "--x", "0.0", "--order", "2",
          "--mc", "50000", "--seed", "5", "--format", "json"], capsys)
     assert out == out2
+
+
+def test_import_does_not_load_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cfx.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def assert_config_error(argv, capsys):
+    assert run(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+
+
+def test_bad_order_guard_variable(monkeypatch, capsys):
+    monkeypatch.setenv("CFX_MAX_ORDER", "abc")
+    assert_config_error(["quantile", "--model", "lnF", "--n1", "24", "--n2", "60",
+                         "--p", "0.95", "--order", "2"], capsys)
+
+
+def test_negative_order(capsys):
+    assert_config_error(["quantile", "--model", "lnF", "--n1", "24", "--n2", "60",
+                         "--p", "0.95", "--order", "-1"], capsys)
+
+
+def test_too_few_replications(capsys):
+    assert_config_error(["cdf", "--model", "lnF", "--n1", "24", "--n2", "60",
+                         "--x", "1.0", "--mc", "10"], capsys)

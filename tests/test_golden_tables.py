@@ -1,6 +1,11 @@
 """Golden coefficient tables: the normal-specialized f and g suites, the
 symbolic spot values, and the special normal-base laws."""
 
+import hashlib
+import json
+
+import pytest
+
 from cfx import engine, hbasis
 from cfx.partitions import Partition
 
@@ -188,3 +193,38 @@ def test_weight_sets_match_partition_classes():
         if r == 1:
             want_g |= {Partition.of(1)}
         assert g_keys == want_g
+
+
+# sha256 of the sorted-key JSON of every h, f and g table through order 8
+TABLE_SHA256 = {
+    ("h", 1): "0064a6a8e72577147b363f1d06bc8b0b6d94c5485485d0b5ea68b95c0198b0ed",
+    ("h", 2): "6f2a55d1922de2a64c1b04e4f6b35fd11d65b221f8fd4e6b2020a2165fbeb7c3",
+    ("h", 3): "a6938b7fd710f5cbba5f0ba670f920af24603e5b0540914be9c73d2884261b18",
+    ("h", 4): "6e5d8d9371e7b19ab74faa014b9834a2ca3279df713c713367dcd63b0292a734",
+    ("h", 5): "686d8153e5d98b4f524337a9ecfed6116f8800ec5b50e18cda2b6ca3042075e8",
+    ("h", 6): "49effc8d73f5ac4c98b28142b755bc90c3bbe580d081b126cefa38e1140908da",
+    ("h", 7): "8ccf64786784f169a2814ba8482b9cc8d7862d61c00ea4395d95c34205f9a9ab",
+    ("h", 8): "05991bb6d1523d16d5b3a4d058ced9f6757f5daeb76ae7f6e6236c5b7a0c5ca1",
+    ("f", 1): "d38a74e9864412f06615b040586f14f3ca597c46c895a4258195b3c79078025a",
+    ("f", 2): "2e52036dffabfbe5060122d538759c72688b9b829546af8a48ff0c413c2890c1",
+    ("f", 3): "caae24f06f933e1f09c1a22d84bbb90185ef5953b6d4960303749b7d84fc0ff1",
+    ("f", 4): "3bba071e0ed4d38b6b4e98754c3ea57efd84ee5d37bf313a59ce2c90153d90ec",
+    ("f", 5): "d680b321286b851d373c963e0b9512dbc84e8cfb68c04a8e43db6a8227a3fdc7",
+    ("f", 6): "97e80bab9183972d1d4142dbb1145a0542e64f43601fd0fab0f8d94b411a09b9",
+    ("f", 7): "bab21b497996b655063af32823fd9c12e4d7a77d966218f36a04ac89d05351f6",
+    ("f", 8): "30e7624c836c399276631ff4dc9aa6af077a6855699942b0b7f8b39b1879ce84",
+    ("g", 1): "aff1ccf286ac8864ad0b32dcf23af781aa128e326c8c7c74d0d096da43f6a628",
+    ("g", 2): "97a26e607f04ff8a62b53f94abc6210eb53137bb5f7924ed3c7ab98a6ec14172",
+    ("g", 3): "2ecb47ea56d9817428add795ed3a6ae4f2b43a8c6f47e970e96268da8abcfbdb",
+    ("g", 4): "d6644a78d990e695f89008de2d78e01e2ca085a20f17e3f438e6b4eeba3def4f",
+    ("g", 5): "a068c52c1ca34a9e46ca2d7e8f611769920f346f55fe58b0d95e4c373578107a",
+    ("g", 6): "4a20ab0ebab915a437cecbbe1f14c774b8427f934c18571ecb40e95a2c18d66f",
+    ("g", 7): "38c1630fe14e59b80ebbcc47c79c8d9f0cb1aaab27ca3960bd1fd0c01a2f020c",
+    ("g", 8): "443eceda07b1a3995b9307e462c96b2a3573cfa7188e07972563e13ae6652b4e",
+}
+
+
+@pytest.mark.parametrize("kind, r", sorted(TABLE_SHA256))
+def test_table_json_hashes(kind, r):
+    doc = json.dumps(engine.export_table_json(kind, r), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == TABLE_SHA256[kind, r]

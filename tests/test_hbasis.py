@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cfx import basedist, bell, hbasis
 from cfx.hpoly import Poly
@@ -215,3 +216,45 @@ def test_hp_eval_at_origin():
     assert hbasis.hp_eval(p, hv) == 0.0
     q = H(4) + H(2) * H(2)
     assert hbasis.hp_eval(q, hv) == 3.0 + 1.0
+
+
+# -- the one-pass operators against the product rule written out --------------
+
+def ref_diff(p):
+    """D applied one factor at a time with plain Poly arithmetic."""
+    out = Poly()
+    for mono, c in p.terms.items():
+        for pos, r in enumerate(mono):
+            rest = Poly({mono[:pos] + mono[pos + 1:]: c})
+            out = out + rest * (H(1) * H(r) - H(r + 1))
+    return out
+
+
+def h_polys():
+    coeff = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+    mono = st.lists(st.integers(min_value=1, max_value=6), max_size=4)
+    return st.lists(st.tuples(mono, coeff), max_size=6).map(
+        lambda ts: sum((Poly({tuple(sorted(m)): c}) for m, c in ts), Poly()))
+
+
+@given(h_polys(), st.integers(min_value=0, max_value=9))
+def test_diff_and_J_match_reference(p, m):
+    assert hbasis.hp_diff(p) == ref_diff(p)
+    assert hbasis.apply_J(m, p) == H(1) * p * m - ref_diff(p)
+    # the (m H_1 + D) step of the b- and c-ladders
+    assert hbasis._h1_plus_d(p, m, 1) == H(1) * p * m + ref_diff(p)
+
+
+@given(h_polys(), h_polys())
+def test_diff_product_rule(p, q):
+    d = hbasis.hp_diff
+    assert d(p * q) == p * d(q) + q * d(p)
+
+
+def test_ladders_match_reference():
+    c, b = Poly.const(1), Poly.const(1)
+    for k in range(1, 10):
+        assert hbasis.c_function(k) == c, k
+        assert hbasis.b_poly(k - 1) == b, k - 1
+        c = H(1) * c * k + ref_diff(c)
+        b = H(1) * b + ref_diff(b)

@@ -2,6 +2,7 @@
 quantiles, and the simulation oracle."""
 
 import math
+import tracemalloc
 
 import pytest
 import scipy.stats
@@ -72,6 +73,34 @@ def test_mc_matches_lnF_cdf_expansion():
     est, se = oracle.mc_cdf(spec, None, x, 150_000, seed=99)
     approx = engine.cdf_expand(ctx, x, 3)["value"]
     assert abs(approx - est) <= 3 * se, (approx, est, se)
+
+
+# (spec, n, x, N, seed) -> (est, se), as one whole-shard draw gave them
+MC_PINNED = [
+    ({"model": "lnF", "n1": 24, "n2": 60}, None, 0.5, 250_000, 7,
+     (0.709748, 0.0009077571844849261)),
+    ({"model": "studentized_mean", "population": "standardized_exponential"},
+     50.0, 0.3, 210_000, 3, (0.6348142857142857, 0.001050680297456632)),
+    ({"model": "sample_variance", "population": "standardized_exponential"},
+     40.0, -0.5, 205_000, 11, (0.37255609756097563, 0.0010678404277681935)),
+]
+
+
+@pytest.mark.parametrize("spec, n, x, N, seed, want", MC_PINNED)
+def test_mc_estimates_pinned(spec, n, x, N, seed, want):
+    assert oracle.mc_cdf(spec, n, x, N, seed=seed) == want
+
+
+def test_mc_memory_bounded():
+    spec = {"model": "studentized_mean", "population": "normal"}
+    tracemalloc.start()
+    try:
+        got = oracle.mc_cdf(spec, 200.0, 1.0, 200_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (0.83962, 0.0008205432822222115)
+    assert peak < 64e6, peak
 
 
 def test_validation_record():
