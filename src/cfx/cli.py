@@ -69,7 +69,11 @@ def _frac(v):
     try:
         return Fraction(v)
     except ValueError:
+        pass
+    try:
         return float(v)
+    except ValueError:
+        raise ConfigError(f"{v!r} is not a number") from None
 
 
 def _model_n(args, table):
@@ -80,7 +84,10 @@ def _model_n(args, table):
             return Fraction(2 * n1 * n2, n1 + n2)
     if args.n is None:
         raise ConfigError("this model requires --n (sample-size parameter)")
-    return _frac(args.n)
+    n = _frac(args.n)
+    if not n > 0:
+        raise ConfigError(f"--n {args.n}: the sample-size parameter must be positive")
+    return n
 
 
 def _build_context(args, table, n):
@@ -204,6 +211,8 @@ def _mc_spec(args):
 
 
 def cmd_density(args):
+    if args.i < 0:
+        raise ConfigError(f"--i {args.i}: the derivative order must be >= 0")
     table = _build_model(args)
     n = _model_n(args, table)
     ctx = _build_context(args, table, n)
@@ -218,6 +227,8 @@ def cmd_density(args):
 
 
 def cmd_coeffs(args):
+    if args.r < 1:
+        raise ConfigError(f"--r {args.r}: tables start at order 1")
     basis = {"H": "H", "a": "a", "normal": "x"}[args.basis]
     payload = engine.export_table_json(args.kind, args.r, basis=basis)
     lines = [f"{args.kind}_{args.r} coefficient table ({args.basis} basis)"]

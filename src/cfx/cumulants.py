@@ -531,6 +531,14 @@ def model_from_config(cfg):
     """
     if isinstance(cfg, str):
         cfg = json.loads(cfg)
+    try:
+        return _model_from_fields(cfg)
+    except KeyError as e:
+        raise ModelError(f"model {cfg.get('model')!r} needs the field "
+                         f"{e.args[0]!r}") from None
+
+
+def _model_from_fields(cfg):
     kind = cfg.get("model")
     if kind == "lnF":
         return model_lnF(int(cfg["n1"]), int(cfg["n2"]))

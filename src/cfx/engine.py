@@ -68,9 +68,10 @@ _EMPTY = Partition(())
 class LPoly:
     """Polynomial in the L symbols with Poly (H-polynomial) coefficients.
 
-    Terms map a Partition (read as the plain monomial prod_k L_k^{i_k}) to a
-    Poly.  The bracket-normalized view ([pi] = monomial / prod i_k!) is
-    produced by :meth:`bracket_items`.
+    Terms map a Partition, read as the bracket [pi] = prod_k L_k^{i_k}/i_k!,
+    to the Poly that multiplies it.  Brackets multiply with an integer
+    factor (``Partition.bracket_factor``), so the h, f and g tables hold
+    integer coefficients throughout.
     """
 
     __slots__ = ("terms",)
@@ -143,7 +144,7 @@ class LPoly:
             for p1, v1 in self.terms.items():
                 for p2, v2 in other.terms.items():
                     part = p1.merge(p2)
-                    val = v1 * v2
+                    val = v1 * v2 * p1.bracket_factor(p2)
                     s = out.get(part)
                     s = val if s is None else s + val
                     if s:
@@ -173,16 +174,17 @@ class LPoly:
                 res.terms[part] = v
         return res
 
+    def exact_div(self, d):
+        """Every coefficient divided by the integer d; ``ArithmeticError``
+        if d leaves a remainder anywhere."""
+        return self.map_values(lambda v: v.exact_div(d))
+
     def bracket_items(self):
-        """[(partition, coefficient-of-[pi])] sorted; the plain-monomial
-        values are rescaled by prod i_k!."""
-        out = []
-        for part, val in self.terms.items():
-            out.append((part, val * part.norm))
-        return sorted(out, key=lambda kv: kv[0])
+        """[(partition, coefficient-of-[pi])] sorted by partition."""
+        return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def __repr__(self):
-        inner = " + ".join(f"[{p.text()}]*({(v * p.norm).text()})"
+        inner = " + ".join(f"[{p.text()}]*({v.text()})"
                            for p, v in self.bracket_items())
         return f"LPoly({inner or '0'})"
 
@@ -196,7 +198,7 @@ def crk_sym(r, k):
     all weight-r partitions of k (each bracket carries coefficient one)."""
     out = LPoly()
     for pi in hset(r, k):
-        out = out + LPoly.monomial(pi, Fraction(1, pi.norm))
+        out = out + LPoly.monomial(pi)
     return out
 
 
@@ -220,8 +222,7 @@ def crk_recurrence(r, k):
                 exp[1] = j - 2 * i
             if i:
                 exp[2] = i
-            pi = Partition(exp)
-            out = out + LPoly.monomial(pi, Fraction(1, pi.norm))
+            out = out + LPoly.monomial(Partition(exp))
         return out
 
     i = (k - r) // 2
@@ -233,7 +234,7 @@ def crk_recurrence(r, k):
         b = partial_ordinary_bell(r - j, i, lbar)
         if isinstance(b, int):
             continue
-        total = total + c_diag(j) * b * Fraction(1, math.factorial(i))
+        total = total + (c_diag(j) * b).exact_div(math.factorial(i))
     return total
 
 
@@ -252,13 +253,13 @@ def crk(r, k, L=None):
         for i in range(L.order + 1):
             acc = 0
             for pi, val in sym.terms.items():
-                acc = acc + bracket_series_coeff(pi, L, i) * pi.norm * val.const_value()
+                acc = acc + bracket_series_coeff(pi, L, i) * val.const_value()
             out.append(acc)
         return out
     seq = L if isinstance(L, Seq) else Seq(L)
     total = 0
     for pi, val in sym.terms.items():
-        prod = val.const_value()
+        prod = Fraction(val.const_value(), pi.norm)
         for part, mult in pi.items():
             for _ in range(mult):
                 prod = prod * seq[part]
@@ -279,7 +280,7 @@ def h_formal(r):
         out = LPoly()
         for k in range(r, 3 * r + 1, 2):
             for pi in hset(r, k):
-                out = out + LPoly.monomial(pi, hbasis.H(k - 1) * Fraction(1, pi.norm))
+                out = out + LPoly.monomial(pi, hbasis.H(k - 1))
         _h_cache[r] = out
     return _h_cache[r]
 
@@ -291,7 +292,8 @@ def fg_formal(kind, r):
         f_r = sum_k (-1)^{k-1} c_k b_{rk}(h)
         g_r = sum_k (-1)^{k-1} D_k b_{rk}(h)
 
-    where the D_k operator acts on the whole symbolic product b_{rk}(h).
+    where the D_k operator acts on the whole symbolic product b_{rk}(h),
+    and b_{rk} = B^_{rk}/k! divides exactly in the bracket basis.
     """
     if kind == "h":
         return h_formal(r)
@@ -305,7 +307,7 @@ def fg_formal(kind, r):
         hs = Seq([h_formal(j) for j in range(1, r + 1)])
         total = LPoly.zero()
         for k in range(1, r + 1):
-            b = partial_ordinary_bell(r, k, hs) * Fraction(1, math.factorial(k))
+            b = partial_ordinary_bell(r, k, hs).exact_div(math.factorial(k))
             sign = 1 if (k - 1) % 2 == 0 else -1
             if kind == "f":
                 total = total + b * hbasis.c_function(k) * sign
@@ -699,10 +701,15 @@ def term_count_cumulative(kind, rmax, schedule=None, matched=True,
 
 def term_count_table(rmax=6):
     """The comparison matrix: per-order and cumulative counts for h, f, g
-    under the raw normal expansion and the matched-gamma ladder."""
+    under the raw normal expansion and the matched-gamma ladder, through
+    the last order of ``ROW_SCHEDULE``."""
+    top = max(ROW_SCHEDULE)
+    if not 0 <= rmax <= top:
+        raise OrderError(f"rmax {rmax} is outside the tabulated (J, K) ladder, "
+                         f"which runs from 0 to {top}")
     rows = []
     for r in range(0, rmax + 1):
-        jr, kr = ROW_SCHEDULE.get(r, (3, 4))
+        jr, kr = ROW_SCHEDULE[r]
         for kind in ("h", "f", "g"):
             if r == 0:
                 raw = match = (1, 0)
@@ -741,7 +748,7 @@ def eval_formal(lpoly, lvalues, hvalues):
         prod = 1.0
         for part, mult in pi.items():
             prod *= float(seq[part]) ** mult
-        total += prod * float(hbasis.hp_eval(val, hvalues))
+        total += prod * float(hbasis.hp_eval(val * Fraction(1, pi.norm), hvalues))
     return total
 
 

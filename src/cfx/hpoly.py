@@ -7,21 +7,16 @@ the gamma base).  Which family a polynomial lives in is decided by the code
 that builds it; conversions between families are explicit substitutions.
 
 A monomial is a multiset of indices >= 1, stored as a sorted tuple; the empty
-tuple is the constant monomial.  Coefficients are kept exact (``Fraction``)
-whenever the inputs are exact; feeding floats degrades gracefully to float
-arithmetic.  Values are immutable in practice: no method mutates ``self``.
+tuple is the constant monomial.  Coefficients are whatever numbers the inputs
+are: ``int`` stays ``int`` (the symbolic tables are integer in the bracket
+basis), ``Fraction`` stays exact, and feeding floats degrades gracefully to
+float arithmetic.  Values are immutable in practice: no method mutates
+``self``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Rational
-
-
-def _as_coeff(c):
-    if isinstance(c, Rational) and not isinstance(c, Fraction):
-        return Fraction(c)
-    return c
 
 
 def _mono_key(mono):
@@ -38,7 +33,6 @@ class Poly:
         self.terms = {}
         if terms:
             for mono, c in terms.items():
-                c = _as_coeff(c)
                 if c:
                     self.terms[tuple(sorted(mono))] = c
 
@@ -47,7 +41,6 @@ class Poly:
     @classmethod
     def const(cls, value):
         p = cls()
-        value = _as_coeff(value)
         if value:
             p.terms[()] = value
         return p
@@ -57,7 +50,6 @@ class Poly:
         if index < 1:
             raise ValueError("indeterminate indices start at 1")
         p = cls()
-        coeff = _as_coeff(coeff)
         if coeff:
             p.terms[(index,) * power] = coeff
         return p
@@ -120,7 +112,7 @@ class Poly:
         return p
 
     def __sub__(self, other):
-        return self.__add__(-other if isinstance(other, Poly) else Poly.const(-_as_coeff(other)))
+        return self.__add__(-other if isinstance(other, Poly) else Poly.const(-other))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -140,7 +132,6 @@ class Poly:
             p.terms = out
             return p
         if isinstance(other, (int, float, Fraction)):
-            other = _as_coeff(other)
             if not other:
                 return Poly()
             p = Poly()
@@ -162,6 +153,19 @@ class Poly:
             base = base * base if n > 1 else base
             n >>= 1
         return result
+
+    def exact_div(self, d):
+        """self / d for an integer d that divides every coefficient.
+
+        The quotient coefficients are integers; a remainder raises
+        ``ArithmeticError`` instead of producing a fraction."""
+        p = Poly()
+        for m, c in self.terms.items():
+            q, rem = divmod(c, d)
+            if rem:
+                raise ArithmeticError(f"{d} does not divide the coefficient {c}")
+            p.terms[m] = q
+        return p
 
     # -- structural maps ---------------------------------------------------
 

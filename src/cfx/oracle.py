@@ -27,11 +27,12 @@ from .hpoly import Poly
 # ---------------------------------------------------------------------------
 
 def _b(seq_obj, r, k):
-    """b_{rk} = B^_{rk}/k! over a sequence of LPoly values."""
+    """b_{rk} = B^_{rk}/k! over a sequence of LPoly values, divided
+    exactly in the integers."""
     val = partial_ordinary_bell(r, k, seq_obj)
     if isinstance(val, int):
-        return LPoly.zero() if val == 0 else LPoly.one() * Fraction(val)
-    return val * Fraction(1, math.factorial(k))
+        return LPoly.zero() if val == 0 else LPoly.one() * val
+    return val.exact_div(math.factorial(k))
 
 
 def _diff_pow(lpoly, m, cache):

@@ -8,13 +8,16 @@ index of the base-polynomial it multiplies.
 The bracket [pi] of a partition against a coefficient sequence L is the
 normalized product prod_k L_k^{i_k} / i_k!; ``bracket_series_coeff`` extends
 this to sequences of truncated power series in 1/n and extracts a single
-series coefficient.
+series coefficient.  Brackets multiply with integer factors,
+[pi][rho] = ``pi.bracket_factor(rho)`` [pi + rho], which is why the symbolic
+tables written against them have integer coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from functools import cache
+from math import comb, factorial
 
 from .bell import Seq, SeqLengthError
 
@@ -117,6 +120,17 @@ class Partition:
             exp[p] = exp.get(p, 0) + m
         return Partition(exp)
 
+    def bracket_factor(self, other):
+        """The integer c with [self][other] = c [self.merge(other)]:
+        prod_k C(i_k + j_k, i_k) over the parts the two share."""
+        mine = dict(self._items)
+        out = 1
+        for p, m in other._items:
+            i = mine.get(p)
+            if i:
+                out *= comb(i + m, m)
+        return out
+
     def text(self):
         toks = []
         for part, mult in self._items:
@@ -168,10 +182,28 @@ def hset(r, k):
     """
     if r < 1:
         raise ValueError(f"order {r} < 1")
-    if k < r or k > 3 * r or (k - r) % 2:
-        return ()
-    out = [pi for pi in partitions_of(k) if pi.weight == r]
-    return tuple(sorted(out))
+    return _weight_classes(r).get(k, ())
+
+
+@cache
+def _weight_classes(r):
+    """{size: sorted tuple} of the partitions of weight r, generated by
+    weight directly: a part p weighs s_weight(p), so parts run up to r + 2."""
+    by_size = {}
+
+    def rec(remaining, low, acc):
+        if remaining == 0:
+            pi = Partition.of(*acc)
+            by_size.setdefault(pi.size, []).append(pi)
+            return
+        for part in range(low, remaining + 3):
+            if s_weight(part) <= remaining:
+                acc.append(part)
+                rec(remaining - s_weight(part), part, acc)
+                acc.pop()
+
+    rec(r, 1, [])
+    return {k: tuple(sorted(pis)) for k, pis in by_size.items()}
 
 
 def bracket(pi, L):

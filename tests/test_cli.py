@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from cfx import cli
 
 
@@ -169,6 +171,7 @@ def assert_config_error(argv, capsys):
     assert run(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+    return err
 
 
 def test_bad_order_guard_variable(monkeypatch, capsys):
@@ -185,3 +188,32 @@ def test_negative_order(capsys):
 def test_too_few_replications(capsys):
     assert_config_error(["cdf", "--model", "lnF", "--n1", "24", "--n2", "60",
                          "--x", "1.0", "--mc", "10"], capsys)
+
+
+def test_custom_model_without_table(capsys):
+    assert_config_error(["quantile", "--model-json",
+                         '{"model": "custom", "a21": 1}', "--n", "10",
+                         "--p", "0.9"], capsys)
+
+
+STUDENTIZED = ["--model", "studentized_mean", "--nu3", "2", "--nu4", "9",
+               "--nu5", "44", "--x", "1.0", "--order", "2"]
+
+
+@pytest.mark.parametrize("n", ["0", "-5", "abc"])
+def test_bad_sample_size(n, capsys):
+    assert_config_error(["cdf", *STUDENTIZED, "--n", n], capsys)
+
+
+def test_negative_derivative_order(capsys):
+    assert_config_error(["density", "--model", "lnF", "--n1", "24", "--n2", "60",
+                         "--x", "0.5", "--i", "-1"], capsys)
+
+
+def test_coeffs_order_zero(capsys):
+    assert_config_error(["coeffs", "--kind", "g", "--r", "0"], capsys)
+
+
+def test_terms_past_the_ladder(capsys):
+    # the message names the last tabulated order
+    assert "6" in assert_config_error(["terms", "--rmax", "7"], capsys)

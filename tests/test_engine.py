@@ -6,6 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cfx import basedist, cumulants, engine, hbasis
 from cfx.hpoly import Poly
@@ -35,6 +36,58 @@ def test_h_coefficients_are_single_symbols():
     for r in range(1, 7):
         for pi, val in engine.coefficient_table("h", r):
             assert val == H(pi.size - 1), (r, pi.text())
+
+
+def test_tables_have_integer_coefficients():
+    # in the bracket basis every coefficient of h, f and g is an integer,
+    # and the tables store it as one
+    for kind in ("h", "f", "g"):
+        for r in range(1, 9):
+            for pi, val in engine.coefficient_table(kind, r):
+                assert all(type(c) is int for c in val.terms.values()), \
+                    (kind, r, pi.text())
+
+
+def lpolys():
+    partition = st.dictionaries(st.integers(min_value=1, max_value=4),
+                                st.integers(min_value=1, max_value=3),
+                                max_size=3).map(Partition)
+    mono = st.lists(st.integers(min_value=1, max_value=3), max_size=2)
+    value = st.dictionaries(mono.map(lambda m: tuple(sorted(m))),
+                            st.integers(min_value=-5, max_value=5),
+                            max_size=3).map(Poly)
+    return st.dictionaries(partition, value, max_size=4).map(engine.LPoly)
+
+
+def plain_monomials(lpoly):
+    # bracket coefficients -> coefficients of prod_k L_k^{i_k}
+    return {pi: val * F(1, pi.norm) for pi, val in lpoly.terms.items()}
+
+
+@given(lpolys(), lpolys())
+def test_lpoly_product_matches_plain_monomials(p, q):
+    want = {}
+    for p1, v1 in plain_monomials(p).items():
+        for p2, v2 in plain_monomials(q).items():
+            part = p1.merge(p2)
+            want[part] = want.get(part, Poly()) + v1 * v2
+    want = {pi: val for pi, val in want.items() if val}
+    assert plain_monomials(p * q) == want
+
+
+def test_exact_division_raises_on_remainder():
+    p = H(1) * 6 - H(2) * H(3) * 4
+    q = p.exact_div(2)
+    assert q == H(1) * 3 - H(2) * H(3) * 2
+    assert all(type(c) is int for c in q.terms.values())
+    with pytest.raises(ArithmeticError):
+        p.exact_div(4)
+    lp = engine.LPoly.monomial(Partition.of(1, 1), p)
+    assert lp.exact_div(2) == engine.LPoly.monomial(Partition.of(1, 1), q)
+    with pytest.raises(ArithmeticError):
+        lp.exact_div(3)
+    with pytest.raises(ArithmeticError):
+        Poly.const(F(1, 2)).exact_div(1)
 
 
 def test_crk_two_paths_agree():

@@ -18,8 +18,8 @@ def test_reversion_order1():
 def test_reversion_equals_ladder_tables():
     # the strongest correctness check in the package: two disjoint
     # derivations of every f_r and g_r must agree exactly
-    fs, gs = oracle.reversion_fg(6)
-    for r in range(1, 7):
+    fs, gs = oracle.reversion_fg(8)
+    for r in range(1, 9):
         assert fs[r - 1] == engine.fg_formal("f", r), f"f_{r}"
         assert gs[r - 1] == engine.fg_formal("g", r), f"g_{r}"
 

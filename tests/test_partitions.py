@@ -62,6 +62,14 @@ def test_hset_parity_bounds():
                 assert all(p.size == k and p.weight == r for p in got)
 
 
+def test_bracket_factor():
+    # [1^2 3][1 3^2] = C(3,1) C(3,1) [1^3 3^3]
+    a, b = Partition.parse("1^2 3"), Partition.parse("1 3^2")
+    assert a.bracket_factor(b) == b.bracket_factor(a) == 9
+    assert a.merge(b).norm == a.bracket_factor(b) * a.norm * b.norm
+    assert a.bracket_factor(Partition.of(2, 4)) == 1
+
+
 def test_bracket():
     L = Seq([F(0), F(0), F(5)])
     assert bracket(Partition.of(3, 3), L) == F(25, 2)
