@@ -6,7 +6,7 @@ exact symbolic layer and the floating-point layer.  ``partial_ordinary_bell``
 needs only ``+`` and ``*`` of its values.  The normalized and exponential
 variants divide by integer factorials through multiplication by
 ``Fraction``; the bracket-basis h/f/g tables do not use them, and instead
-divide B^_{rk} by k! exactly in the integers (``LPoly.exact_div``).
+divide B^_{rk} by k! exactly in the integers (``hpoly.SparseMap.exact_div``).
 
 The ordinary partial Bell polynomial B^_{rj}(y) is the coefficient of t^r in
 S(t)^j for S(t) = sum_{r>=1} y_r t^r.  ``ordinary_bell_b`` is the partition

@@ -138,6 +138,13 @@ class ATable(_TableBase):
         """A_{ri}/r!, the factorial-normalized coefficient."""
         return self.get(r, i) * Fraction(1, factorial(r))
 
+    def coeff(self, r, j):
+        """The n^-j series coefficient of the adjusted cumulant L_r:
+        Abar_{r, r+j-delta_r}, with delta_r = 1 for r >= 3 (the series
+        protocol of ``partitions.bracket_series_coeff``).  Read on demand,
+        so a model needs only the entries a bracket touches."""
+        return self.abar(r, r + j - (1 if r >= 3 else 0))
+
 
 def standardize(table):
     """CumulantTable -> ATable via A_{ri} = a_{ri}/a21^{r/2}."""

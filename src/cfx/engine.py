@@ -2,17 +2,19 @@
 
 Symbolic layer: the cdf-correction polynomials h_r, the forward quantile-map
 polynomials f_r and inverse quantile-map polynomials g_r, all represented as
-polynomials in the adjusted-cumulant symbols L_1, L_2, ... whose coefficients
-are exact polynomials in the generalized-Hermite symbols.  h_r comes from the
-weighted-partition decomposition; f_r and g_r come from the inversion ladder
-(the c-functions and D-operators of ``hbasis``) applied to Bell polynomials
-in the h-sequence.
+``hpoly.LPoly`` values: polynomials in the adjusted-cumulant symbols L_1,
+L_2, ... whose coefficients are exact polynomials in the generalized-Hermite
+symbols.  h_r comes from the weighted-partition decomposition; f_r and g_r
+come from the inversion ladder (the c-functions and D-operators of
+``hbasis``) applied to Bell polynomials in the h-sequence.
 
-Standardized layer: substituting each L_k by its truncated power series in
-1/n turns the formal tables into the order-by-order expansion terms e_r(x)
-actually evaluated against a cumulant model; the split into a leading part
-and a series-correction part, and the closed forms of the leading part, are
-both implemented and cross-checked by the test-suite.
+Standardized layer: substituting each L_k by its power series in 1/n, read
+from the model's ``cumulants.ATable`` through the series protocol of
+``partitions.bracket_series_coeff``, turns the formal tables into the
+order-by-order expansion terms e_r(x) actually evaluated against a cumulant
+model; the split into a leading part and a series-correction part, and the
+closed forms of the leading part, are both implemented and cross-checked by
+the test-suite.
 
 Evaluation layer: cdf, quantile and density expansions about a concrete base
 distribution, and the term-count accounting used to compare truncation
@@ -30,8 +32,8 @@ from fractions import Fraction
 
 from . import basedist, cumulants, hbasis
 from .bell import Seq, partial_ordinary_bell
-from .hpoly import Poly
-from .partitions import LSeries, Partition, bracket_series_coeff, hset
+from .hpoly import LPoly, Poly
+from .partitions import LSeries, Partition, bracket, bracket_series_coeff, hset
 
 DEFAULT_MAX_ORDER = 12
 
@@ -56,137 +58,6 @@ def _check_order(r):
                          f"(set CFX_MAX_ORDER to raise it)")
     if r < 0:
         raise OrderError(f"order {r} < 0")
-
-
-# ---------------------------------------------------------------------------
-# formal polynomials in L with H-polynomial coefficients
-# ---------------------------------------------------------------------------
-
-_EMPTY = Partition(())
-
-
-class LPoly:
-    """Polynomial in the L symbols with Poly (H-polynomial) coefficients.
-
-    Terms map a Partition, read as the bracket [pi] = prod_k L_k^{i_k}/i_k!,
-    to the Poly that multiplies it.  Brackets multiply with an integer
-    factor (``Partition.bracket_factor``), so the h, f and g tables hold
-    integer coefficients throughout.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for part, val in terms.items():
-                if isinstance(val, (int, Fraction, float)):
-                    val = Poly.const(val)
-                if val:
-                    self.terms[part] = val
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({_EMPTY: Poly.const(1)})
-
-    @classmethod
-    def monomial(cls, partition, value=1):
-        return cls({partition: value if isinstance(value, Poly) else Poly.const(value)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, LPoly):
-            return self.terms == other.terms
-        if other == 0:
-            return not self.terms
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, LPoly):
-            out = dict(self.terms)
-            for part, val in other.terms.items():
-                s = out.get(part)
-                s = val if s is None else s + val
-                if s:
-                    out[part] = s
-                else:
-                    out.pop(part, None)
-            res = LPoly()
-            res.terms = out
-            return res
-        if isinstance(other, int) and other == 0:
-            return self
-        return NotImplemented
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __neg__(self):
-        res = LPoly()
-        res.terms = {part: -val for part, val in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, LPoly):
-            out = {}
-            for p1, v1 in self.terms.items():
-                for p2, v2 in other.terms.items():
-                    part = p1.merge(p2)
-                    val = v1 * v2 * p1.bracket_factor(p2)
-                    s = out.get(part)
-                    s = val if s is None else s + val
-                    if s:
-                        out[part] = s
-                    else:
-                        out.pop(part, None)
-            res = LPoly()
-            res.terms = out
-            return res
-        if isinstance(other, (int, float, Fraction, Poly)):
-            res = LPoly()
-            for part, val in self.terms.items():
-                v = val * other
-                if v:
-                    res.terms[part] = v
-            return res
-        return NotImplemented
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def map_values(self, fn):
-        res = LPoly()
-        for part, val in self.terms.items():
-            v = fn(val)
-            if v:
-                res.terms[part] = v
-        return res
-
-    def exact_div(self, d):
-        """Every coefficient divided by the integer d; ``ArithmeticError``
-        if d leaves a remainder anywhere."""
-        return self.map_values(lambda v: v.exact_div(d))
-
-    def bracket_items(self):
-        """[(partition, coefficient-of-[pi])] sorted by partition."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
-
-    def __repr__(self):
-        inner = " + ".join(f"[{p.text()}]*({v.text()})"
-                           for p, v in self.bracket_items())
-        return f"LPoly({inner or '0'})"
 
 
 # ---------------------------------------------------------------------------
@@ -249,22 +120,10 @@ def crk(r, k, L=None):
     if L is None:
         return sym
     if isinstance(L, LSeries):
-        out = []
-        for i in range(L.order + 1):
-            acc = 0
-            for pi, val in sym.terms.items():
-                acc = acc + bracket_series_coeff(pi, L, i) * val.const_value()
-            out.append(acc)
-        return out
-    seq = L if isinstance(L, Seq) else Seq(L)
-    total = 0
-    for pi, val in sym.terms.items():
-        prod = Fraction(val.const_value(), pi.norm)
-        for part, mult in pi.items():
-            for _ in range(mult):
-                prod = prod * seq[part]
-        total = total + prod
-    return total
+        return [sum(bracket_series_coeff(pi, L, i) * val.const_value()
+                    for pi, val in sym.terms.items())
+                for i in range(L.order + 1)]
+    return sum(bracket(pi, L) * val.const_value() for pi, val in sym.terms.items())
 
 
 _h_cache = {}
@@ -360,26 +219,6 @@ def export_table_json(kind, r, basis="H"):
 # standardized expansions
 # ---------------------------------------------------------------------------
 
-def _delta(r):
-    return 1 if r >= 3 else 0
-
-
-class _LazyLSeries:
-    """Adjusted-cumulant series backed directly by a coefficient table.
-
-    Coefficients are read on demand, so only the entries a bracket actually
-    touches are required of the model."""
-
-    __slots__ = ("atable", "order")
-
-    def __init__(self, atable, order):
-        self.atable = atable
-        self.order = order
-
-    def coeff(self, r, j):
-        return self.atable.abar(r, r + j - _delta(r))
-
-
 def e_r_standardized(kind, r, atable, J=None, K=None):
     """The order-r standardized expansion polynomial e_r(x), as a Poly in H.
 
@@ -389,13 +228,11 @@ def e_r_standardized(kind, r, atable, J=None, K=None):
     they induce is already carried by the table's values.
     """
     _check_order(r)
-    order = (r - 1) // 2
-    L = _LazyLSeries(atable, order)
     total = Poly()
-    for i in range(0, order + 1):
+    for i in range(0, (r - 1) // 2 + 1):
         s = r - 2 * i
         for pi, val in coefficient_table(kind, s):
-            c = bracket_series_coeff(pi, L, i)
+            c = bracket_series_coeff(pi, atable, i)
             if c:
                 total = total + val * c
     return total
@@ -429,14 +266,13 @@ def nabla_re(kind, r, atable):
         return Poly()
     if r not in _NABLA_RE:
         raise OrderError(f"closed residual form only tabulated through r=6, got {r}")
-    L = _LazyLSeries(atable, (r - 1) // 2)
     total = Poly()
     for pi, i in _NABLA_RE[r]:
         table = coefficient_lookup(kind, pi.weight)
         val = table.get(pi)
         if val is None:
             continue
-        c = bracket_series_coeff(pi, L, i)
+        c = bracket_series_coeff(pi, atable, i)
         if c:
             total = total + val * c
     return total
@@ -522,21 +358,15 @@ class ExpansionContext:
 def _density_e(r, atable, i):
     """The order-r density-expansion polynomial: every H_k of the cdf
     polynomial h_r(x) bumped to H_{k+i+1} (the constant terms included)."""
-    order = (r - 1) // 2
-    L = _LazyLSeries(atable, order)
     total = Poly()
-    for ii in range(0, order + 1):
+    for ii in range(0, (r - 1) // 2 + 1):
         s = r - 2 * ii
         for k in range(s, 3 * s + 1, 2):
             for pi in hset(s, k):
-                c = bracket_series_coeff(pi, L, ii)
+                c = bracket_series_coeff(pi, atable, ii)
                 if c:
                     total = total + hbasis.H(pi.size + i) * c
     return total
-
-
-def validate_context(ctx, R):
-    cumulants.validate_for_order(ctx.atable, R)
 
 
 def cdf_expand(ctx, x, R):
@@ -544,8 +374,10 @@ def cdf_expand(ctx, x, R):
 
     Returns the value, the base cdf, and the per-order contributions
     (term r is the whole correction -p(x) n^{-r/2} h_r(x))."""
+    if not math.isfinite(x):
+        raise basedist.DomainError(f"x = {x} is not finite")
     _check_order(R)
-    validate_context(ctx, R)
+    cumulants.validate_for_order(ctx.atable, R)
     base_value = ctx.base.cdf(x)
     px = ctx.base.pdf(x)
     nn = float(ctx.n)
@@ -569,7 +401,7 @@ def quantile_expand(ctx, p, R, exact=None):
     if not 0.0 < p < 1.0:
         raise basedist.DomainError(f"probability {p} not in (0, 1)")
     _check_order(R)
-    validate_context(ctx, R)
+    cumulants.validate_for_order(ctx.atable, R)
     x = ctx.base.inv_cdf(p)
     nn = float(ctx.n)
     rows = []
@@ -592,8 +424,10 @@ def density_expand(ctx, x, i, R):
     p(x) [H_i(x) + sum_{r<=R} n^{-r/2} h_{ir}(x)]."""
     if i < 0:
         raise ValueError("derivative order must be >= 0")
+    if not math.isfinite(x):
+        raise basedist.DomainError(f"x = {x} is not finite")
     _check_order(R)
-    validate_context(ctx, R)
+    cumulants.validate_for_order(ctx.atable, R)
     px = ctx.base.pdf(x)
     base_term = 1.0 if i == 0 else float(ctx.base.h_seq(x, i)[i - 1])
     nn = float(ctx.n)
@@ -652,18 +486,16 @@ def term_count(kind, r, J, K, matched=True, base="general", drop_multi3=False):
         return (1, 0)
     _check_order(r)
     atable = _pattern_atable(J, K, matched)
-    order = (r - 1) // 2
-    L = _LazyLSeries(atable, order)
     n_count = 0
     m_count = 0
-    for i in range(0, order + 1):
+    for i in range(0, (r - 1) // 2 + 1):
         s = r - 2 * i
         for pi, val in coefficient_table(kind, s):
             if base == "normal" and not hbasis.normal_specialize(val):
                 continue
             if i >= 1 and drop_multi3 and pi.contains(3) and pi.num_parts >= 2:
                 continue
-            c = bracket_series_coeff(pi, L, i)
+            c = bracket_series_coeff(pi, atable, i)
             count = len(c.terms) if isinstance(c, Poly) else (1 if c else 0)
             if i == 0:
                 n_count += count

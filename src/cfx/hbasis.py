@@ -16,7 +16,7 @@ expressions "in a".  Conversions are explicit (``a_from_H``, ``H_from_a``,
 
 from __future__ import annotations
 
-from math import factorial
+from math import comb, factorial
 
 from . import bell
 from .hpoly import Poly
@@ -133,12 +133,8 @@ def hermite_derivative(r, k):
     out = Poly()
     for i in range(k + 1):
         sign = -1 if i % 2 else 1
-        out = out + b_poly(k - i) * H(r + i) * (sign * _binom(k, i))
+        out = out + b_poly(k - i) * H(r + i) * (sign * comb(k, i))
     return out
-
-
-def _binom(n, k):
-    return factorial(n) // (factorial(k) * factorial(n - k))
 
 
 # -- conversions between the H and a families --------------------------------
@@ -154,9 +150,11 @@ def H_from_a(r):
     if r == 0:
         return Poly.const(1)
     if r not in _H_from_a_cache:
-        neg_a = bell.Seq([-a_sym(j) for j in range(1, r + 1)])
-        val = bell.complete_bell(r, neg_a)
-        _H_from_a_cache[r] = val * ((-1) ** r)
+        # the complete Bell recurrence B_r(x) = sum_k C(r-1, k) x_{k+1}
+        # B_{r-1-k}(x) at x = -a, in integers and from the cached lower H
+        _H_from_a_cache[r] = sum(
+            (a_sym(k + 1) * H_from_a(r - 1 - k) * ((-1) ** k * comb(r - 1, k))
+             for k in range(r)), Poly())
     return _H_from_a_cache[r]
 
 

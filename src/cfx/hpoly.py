@@ -1,22 +1,32 @@
-"""Sparse exact polynomials in indexed indeterminates.
+"""Sparse exact polynomials: one ring over two key families.
 
-One polynomial core backs every symbolic layer of the package: polynomials in
-the generalized-Hermite symbols H_1, H_2, ..., polynomials in the log-density
-derivative symbols a_1, a_2, ..., and univariate polynomials (x, or 1/y for
-the gamma base).  Which family a polynomial lives in is decided by the code
-that builds it; conversions between families are explicit substitutions.
+Every symbolic layer of the package is a sparse map from monomial keys to
+nonzero ring coefficients.  ``SparseMap`` holds the ring operations once;
+its two subclasses differ only in how two keys multiply:
 
-A monomial is a multiset of indices >= 1, stored as a sorted tuple; the empty
-tuple is the constant monomial.  Coefficients are whatever numbers the inputs
-are: ``int`` stays ``int`` (the symbolic tables are integer in the bracket
-basis), ``Fraction`` stays exact, and feeding floats degrades gracefully to
-float arithmetic.  Values are immutable in practice: no method mutates
-``self``.
+- ``Poly`` keys are multisets of indices >= 1, stored as sorted tuples (the
+  empty tuple is the constant monomial), and multiply by concatenation.
+  ``Poly`` serves the generalized-Hermite symbols H_1, H_2, ..., the
+  log-density derivative symbols a_1, a_2, ..., and univariate polynomials
+  (x, or 1/y for the gamma base); which family a polynomial lives in is
+  decided by the code that builds it, and conversions between families are
+  explicit substitutions.  Its coefficients are whatever numbers the inputs
+  are: ``int`` stays ``int`` (the symbolic tables are integer in the bracket
+  basis), ``Fraction`` stays exact, and floats degrade gracefully to float
+  arithmetic.
+- ``LPoly`` keys are partitions read as brackets [pi] = prod_k L_k^{i_k}/i_k!
+  in the adjusted-cumulant symbols, with ``Poly`` coefficients.  Brackets
+  multiply with an integer factor, [pi][rho] = ``pi.bracket_factor(rho)``
+  [pi + rho], so the h, f and g tables keep integer coefficients.
+
+Values are immutable in practice: no method mutates ``self``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .partitions import Partition
 
 
 def _mono_key(mono):
@@ -24,10 +34,141 @@ def _mono_key(mono):
     return (len(mono), tuple(-i for i in sorted(mono, reverse=True)))
 
 
-class Poly:
-    """Sparse polynomial; terms map monomial tuples to nonzero coefficients."""
+def _quotient(c, d):
+    if isinstance(c, SparseMap):
+        return c.exact_div(d)
+    q, rem = divmod(c, d)
+    if rem:
+        raise ArithmeticError(f"{d} does not divide the coefficient {c}")
+    return q
+
+
+def _add_into(out, terms):
+    """Add the (key, coefficient) pairs ``terms`` into the dict ``out``,
+    dropping keys whose sum is zero; returns ``out``."""
+    for key, c in terms:
+        s = out.get(key)
+        s = c if s is None else s + c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    return out
+
+
+class SparseMap:
+    """The ring operations shared by both key families.
+
+    A subclass supplies ``_unit`` (the key of the constant monomial),
+    ``_scalars`` (the types it multiplies coefficient-wise) and the key
+    product ``_key_product(k1, k2) -> (key, factor)``, with k1 * k2 =
+    factor * key for an integer factor."""
 
     __slots__ = ("terms",)
+
+    @classmethod
+    def _new(cls, terms):
+        p = cls.__new__(cls)
+        p.terms = terms
+        return p
+
+    @classmethod
+    def const(cls, value):
+        return cls({cls._unit: value})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self.terms == other.terms
+        if isinstance(other, self._scalars):
+            return self.terms == self.const(other).terms
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            if not isinstance(other, self._scalars):
+                return NotImplemented
+            other = self.const(other)
+        return self._new(_add_into(dict(self.terms), other.terms.items()))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            # _add_into's accumulation, inlined: it runs once per pair of terms
+            out = {}
+            product = self._key_product
+            for k1, c1 in self.terms.items():
+                for k2, c2 in other.terms.items():
+                    key, factor = product(k1, k2)
+                    c = c1 * c2 if factor == 1 else c1 * c2 * factor
+                    s = out.get(key)
+                    s = c if s is None else s + c
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+            return self._new(out)
+        if isinstance(other, self._scalars):
+            if not other:
+                return self._new({})
+            return self._new({key: c * other for key, c in self.terms.items()})
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("only nonnegative integer powers")
+        result = self.const(1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
+
+    def map_values(self, fn):
+        """fn applied to every coefficient; zero results are dropped."""
+        out = {}
+        for key, c in self.terms.items():
+            v = fn(c)
+            if v:
+                out[key] = v
+        return self._new(out)
+
+    def exact_div(self, d):
+        """self / d for an integer d that divides every coefficient.
+
+        The quotient coefficients are integers; a remainder raises
+        ``ArithmeticError`` instead of producing a fraction."""
+        return self.map_values(lambda c: _quotient(c, d))
+
+
+class Poly(SparseMap):
+    """Sparse polynomial; terms map monomial tuples to nonzero coefficients."""
+
+    __slots__ = ()
+    _unit = ()
+    _scalars = (int, float, Fraction)
 
     def __init__(self, terms=None):
         self.terms = {}
@@ -36,31 +177,15 @@ class Poly:
                 if c:
                     self.terms[tuple(sorted(mono))] = c
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def const(cls, value):
-        p = cls()
-        if value:
-            p.terms[()] = value
-        return p
+    @staticmethod
+    def _key_product(m1, m2):
+        return tuple(sorted(m1 + m2)), 1
 
     @classmethod
     def atom(cls, index, power=1, coeff=1):
         if index < 1:
             raise ValueError("indeterminate indices start at 1")
-        p = cls()
-        if coeff:
-            p.terms[(index,) * power] = coeff
-        return p
-
-    # -- predicates --------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
+        return cls({(index,) * power: coeff})
 
     def const_value(self):
         return self.terms.get((), Fraction(0))
@@ -73,99 +198,6 @@ class Poly:
 
     def coefficient(self, mono):
         return self.terms.get(tuple(sorted(mono)), Fraction(0))
-
-    # -- ring operations ---------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == Poly.const(other).terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        if not isinstance(other, Poly):
-            if isinstance(other, (int, float, Fraction)):
-                other = Poly.const(other)
-            else:
-                return NotImplemented
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, 0) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        p = Poly()
-        p.terms = out
-        return p
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __neg__(self):
-        p = Poly()
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other):
-        return self.__add__(-other if isinstance(other, Poly) else Poly.const(-other))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            out = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    mono = tuple(sorted(m1 + m2))
-                    s = out.get(mono, 0) + c1 * c2
-                    if s:
-                        out[mono] = s
-                    else:
-                        out.pop(mono, None)
-            p = Poly()
-            p.terms = out
-            return p
-        if isinstance(other, (int, float, Fraction)):
-            if not other:
-                return Poly()
-            p = Poly()
-            p.terms = {m: c * other for m, c in self.terms.items()}
-            return p
-        return NotImplemented
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        result = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def exact_div(self, d):
-        """self / d for an integer d that divides every coefficient.
-
-        The quotient coefficients are integers; a remainder raises
-        ``ArithmeticError`` instead of producing a fraction."""
-        p = Poly()
-        for m, c in self.terms.items():
-            q, rem = divmod(c, d)
-            if rem:
-                raise ArithmeticError(f"{d} does not divide the coefficient {c}")
-            p.terms[m] = q
-        return p
 
     # -- structural maps ---------------------------------------------------
 
@@ -182,20 +214,21 @@ class Poly:
         """Substitute whole polynomials (or numbers) for atoms.
 
         ``mapping`` maps index -> Poly | number; indices absent from the
-        mapping are left untouched.
+        mapping are left untouched.  Each (index, power) that occurs is
+        expanded once per call.
         """
-        out = Poly()
+        reps = {i: v if isinstance(v, Poly) else Poly.const(v) for i, v in mapping.items()}
+        powers = {}
+        out = {}
         for mono, c in self.terms.items():
             term = Poly.const(c)
-            for i in mono:
-                rep = mapping.get(i)
-                if rep is None:
-                    rep = Poly.atom(i)
-                elif not isinstance(rep, Poly):
-                    rep = Poly.const(rep)
-                term = term * rep
-            out = out + term
-        return out
+            for i in dict.fromkeys(mono):
+                k = mono.count(i)
+                if (i, k) not in powers:
+                    powers[i, k] = reps.get(i, Poly.atom(i)) ** k
+                term = term * powers[i, k]
+            _add_into(out, term.terms.items())
+        return Poly._new(out)
 
     def eval(self, values):
         """Evaluate with ``values[i]`` substituted for atom i.
@@ -220,41 +253,18 @@ class Poly:
 
     def text(self, symbol="H"):
         """Canonical plain rendering, e.g. ``H7 - 2*H3*H4 + H1*H3^2``."""
-        if not self.terms:
-            return "0"
-        pieces = []
-        for mono, c in self.sorted_terms():
-            factors = []
-            for i in sorted(set(mono)):
-                k = mono.count(i)
-                factors.append(f"{symbol}{i}" + (f"^{k}" if k > 1 else ""))
-            body = "*".join(factors)
-            if not body:
-                frag = str(c)
-            elif c == 1:
-                frag = body
-            elif c == -1:
-                frag = f"-{body}"
-            else:
-                frag = f"{c}*{body}"
-            pieces.append(frag)
-        out = pieces[0]
-        for frag in pieces[1:]:
-            out += f" - {frag[1:]}" if frag.startswith("-") else f" + {frag}"
-        return out
+        return self._render(lambda i: f"{symbol}{i}", "*", "*")
 
     def compact(self):
         """Compact index notation: ``k·1^{i1}2^{i2}`` with multi-digit
         indices parenthesized, e.g. ``3·4(11)`` for 3*H4*H11."""
-        if not self.terms:
-            return "0"
-        pieces = []
-        for mono, c in self.sorted_terms():
-            body = ""
-            for i in sorted(set(mono)):
-                k = mono.count(i)
-                tok = str(i) if i < 10 else f"({i})"
-                body += tok + (f"^{k}" if k > 1 else "")
+        return self._render(lambda i: str(i) if i < 10 else f"({i})", "", "·")
+
+    def _render(self, symbol, sep, times):
+        out = "0"
+        for n, (mono, c) in enumerate(self.sorted_terms()):
+            body = sep.join(symbol(i) + (f"^{mono.count(i)}" if mono.count(i) > 1 else "")
+                            for i in sorted(set(mono)))
             if not body:
                 frag = str(c)
             elif c == 1:
@@ -262,12 +272,61 @@ class Poly:
             elif c == -1:
                 frag = f"-{body}"
             else:
-                frag = f"{c}·{body}"
-            pieces.append(frag)
-        out = pieces[0]
-        for frag in pieces[1:]:
-            out += f" - {frag[1:]}" if frag.startswith("-") else f" + {frag}"
+                frag = f"{c}{times}{body}"
+            if n == 0:
+                out = frag
+            else:
+                out += f" - {frag[1:]}" if frag.startswith("-") else f" + {frag}"
         return out
 
     def __repr__(self):
         return f"Poly({self.text()})"
+
+
+
+class LPoly(SparseMap):
+    """Polynomial in the L symbols with Poly (H-polynomial) coefficients.
+
+    Terms map a Partition, read as the bracket [pi] = prod_k L_k^{i_k}/i_k!,
+    to the Poly that multiplies it.  Brackets multiply with an integer
+    factor (``Partition.bracket_factor``), so the h, f and g tables hold
+    integer coefficients throughout.
+    """
+
+    __slots__ = ()
+    _unit = Partition(())
+    _scalars = (int, float, Fraction, Poly)
+
+    def __init__(self, terms=None):
+        self.terms = {}
+        if terms:
+            for part, val in terms.items():
+                if not isinstance(val, Poly):
+                    val = Poly.const(val)
+                if val:
+                    self.terms[part] = val
+
+    @staticmethod
+    def _key_product(p1, p2):
+        return p1.merge(p2), p1.bracket_factor(p2)
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls):
+        return cls.const(1)
+
+    @classmethod
+    def monomial(cls, partition, value=1):
+        return cls({partition: value})
+
+    def bracket_items(self):
+        """[(partition, coefficient-of-[pi])] sorted by partition."""
+        return sorted(self.terms.items(), key=lambda kv: kv[0])
+
+    def __repr__(self):
+        inner = " + ".join(f"[{p.text()}]*({v.text()})"
+                           for p, v in self.bracket_items())
+        return f"LPoly({inner or '0'})"

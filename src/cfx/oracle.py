@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from . import basedist, hbasis
 from .bell import Seq, partial_ordinary_bell
-from .engine import LPoly, h_formal
-from .hpoly import Poly
+from .engine import h_formal
+from .hpoly import LPoly, SparseMap
 
 
 # ---------------------------------------------------------------------------
@@ -29,10 +29,7 @@ from .hpoly import Poly
 def _b(seq_obj, r, k):
     """b_{rk} = B^_{rk}/k! over a sequence of LPoly values, divided
     exactly in the integers."""
-    val = partial_ordinary_bell(r, k, seq_obj)
-    if isinstance(val, int):
-        return LPoly.zero() if val == 0 else LPoly.one() * val
-    return val.exact_div(math.factorial(k))
+    return partial_ordinary_bell(r, k, seq_obj).exact_div(math.factorial(k))
 
 
 def _diff_pow(lpoly, m, cache):
@@ -256,6 +253,6 @@ def check(name, expected, got, tolerance=0.0):
 def _plain(v):
     if isinstance(v, Fraction):
         return str(v)
-    if isinstance(v, (Poly, LPoly)):
+    if isinstance(v, SparseMap):
         return repr(v)
     return v

@@ -7,10 +7,13 @@ index of the base-polynomial it multiplies.
 
 The bracket [pi] of a partition against a coefficient sequence L is the
 normalized product prod_k L_k^{i_k} / i_k!; ``bracket_series_coeff`` extends
-this to sequences of truncated power series in 1/n and extracts a single
-series coefficient.  Brackets multiply with integer factors,
-[pi][rho] = ``pi.bracket_factor(rho)`` [pi + rho], which is why the symbolic
-tables written against them have integer coefficients.
+this to sequences of power series in 1/n and extracts a single series
+coefficient.  It reads the series through one protocol, ``coeff(k, j)`` for
+the n^-j coefficient of L_k, which ``LSeries`` (stored, truncated rows) and
+``cumulants.ATable`` (a model's standardized coefficients) both answer.
+Brackets multiply with integer factors, [pi][rho] =
+``pi.bracket_factor(rho)`` [pi + rho], which is why the symbolic tables
+written against them have integer coefficients.
 """
 
 from __future__ import annotations
@@ -227,10 +230,10 @@ class LSeries:
     series in 1/n.
 
     ``rows`` maps r to the list [c_{r,0}, c_{r,1}, ...]; all rows share the
-    truncation ``order`` (inclusive highest power of 1/n).  For standardized
-    estimates the coefficients are c_{r,j} = A_{r, r+j-delta}/r! with
-    delta = 1 for r >= 3 — the caller builds them; this class only stores
-    and multiplies.
+    truncation ``order`` (inclusive highest power of 1/n), and ``coeff``
+    raises ``TruncationError`` past it.  For standardized estimates the
+    coefficients are c_{r,j} = A_{r, r+j-delta}/r! with delta = 1 for
+    r >= 3, which ``cumulants.ATable.coeff`` answers directly.
     """
 
     __slots__ = ("rows", "order")
@@ -269,15 +272,15 @@ def _series_mul(a, b, order):
 
 
 def bracket_series_coeff(pi, L, i):
-    """The n^-i coefficient of [pi] when every L_k is a truncated series.
+    """The n^-i coefficient of [pi] when every L_k is a series in 1/n.
 
+    ``L`` is any coefficient series: an object whose ``coeff(k, j)`` is the
+    n^-j coefficient of L_k (an ``LSeries``, or a ``cumulants.ATable``).
     Multiplies the truncated series prod_k L_k(n)^{i_k}, divides by the
     bracket normalizer, and returns the requested coefficient.
     """
     if i < 0:
         raise ValueError("series order must be nonnegative")
-    if i > L.order:
-        raise TruncationError(f"n^-{i} requested beyond truncation {L.order}")
     acc = [Fraction(1)] + [0] * i
     for part, mult in pi.items():
         row = [L.coeff(part, j) for j in range(i + 1)]

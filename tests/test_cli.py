@@ -217,3 +217,13 @@ def test_coeffs_order_zero(capsys):
 def test_terms_past_the_ladder(capsys):
     # the message names the last tabulated order
     assert "6" in assert_config_error(["terms", "--rmax", "7"], capsys)
+
+
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["cdf", "density"])
+def test_non_finite_x(command, x, capsys):
+    # the same exit and one-line report as --p nan
+    assert run([command, "--model", "lnF", "--n1", "24", "--n2", "60",
+                f"--x={x}", "--order", "2"]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ") and err.count("\n") == 1, err

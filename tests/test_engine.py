@@ -322,6 +322,15 @@ def test_quantile_order0():
     assert abs(res["value"] - ctx.scale * x) < 1e-15
 
 
+def test_non_finite_x_is_a_domain_error():
+    ctx = lnf_ctx()
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(basedist.DomainError):
+            engine.cdf_expand(ctx, x, 2)
+        with pytest.raises(basedist.DomainError):
+            engine.density_expand(ctx, x, 0, 2)
+
+
 def test_density_consistency_with_cdf():
     ctx = lnf_ctx()
     step = 1e-4

@@ -224,7 +224,55 @@ TABLE_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("kind, r", sorted(TABLE_SHA256))
-def test_table_json_hashes(kind, r):
-    doc = json.dumps(engine.export_table_json(kind, r), sort_keys=True)
-    assert hashlib.sha256(doc.encode()).hexdigest() == TABLE_SHA256[kind, r]
+# the same through order 6 with the a-basis ("a") and normal-basis ("x")
+# renderings that ``export_table_json`` adds to every entry
+BASIS_TABLE_SHA256 = {
+    ("f", 1, "a"): "ba201b86a5d4c33043a192e8fe97937718856225f740369573a29859ec87e02e",
+    ("f", 2, "a"): "359bcb14a0f8ebc0d7063c78fdb58514d3f87ff195d5031bb848e4473ca4ede1",
+    ("f", 3, "a"): "31dff24e3b94d6be18ed324ed8b41b4f8a067298012ec100df3d6e381169c11f",
+    ("f", 4, "a"): "13fd5df8ebd5f7fc9a04d8bb0fc96175fc9a080a6c8e03e2c55cc08e337cb972",
+    ("f", 5, "a"): "24965933a799fa595b45120acdcf6537f362e01604836ee2961b2a4f20b0c0af",
+    ("f", 6, "a"): "8e59d1dce35944bc0abf0198ae1ea8abc741de63621f36a7101848b0161b563d",
+    ("g", 1, "a"): "d68e3910724b5b8566f6bab381d948a39221cd6b46f49472fc1bbf8a71306e2a",
+    ("g", 2, "a"): "abdbf896db74b1fe5573ee45ee5053fac90c767741e4e0d84e36238507c1aca1",
+    ("g", 3, "a"): "cdb38561f72e7db94fe1b8ed7120bec7da6f7c32707fba6d78a0a10df3bf5216",
+    ("g", 4, "a"): "e2e944a2f1eb395581c6e39e8f1b0dac42d9f0a217986fce2fb6b49adf06b2b3",
+    ("g", 5, "a"): "9e6383be2b940088f840896c086aa262c19afa26df777266998994be787c9e9c",
+    ("g", 6, "a"): "522286143f07d97b90e8bf7e18941201696c28635b61d75560d29e4a0ebb64be",
+    ("h", 1, "a"): "6e2772ef8d1e936e297588cf69b87c7d6e4950ab6301318689a4c0b020fad72d",
+    ("h", 2, "a"): "6e149b1f94ef5f1a1ba048d322532dd73551be807ee5e1b43090e34bb889c26d",
+    ("h", 3, "a"): "cbb839516599541297b5208568fdbb0634e23b4e7b69a854b5223a55caf9c52b",
+    ("h", 4, "a"): "1538cfa9620123692452d08bc3f010c9955bc50a41248880918fa8341f7049b4",
+    ("h", 5, "a"): "d374494a32abd774450cc4380a1caa7145ea9d16d9452d0086ac6a77c76e4de8",
+    ("h", 6, "a"): "c187d2fbfa671f615968996054743016e45e65c490f0c6bd50a6e03db3925880",
+    ("f", 1, "x"): "83502481fd6c0ea118dc580ed6eba6d5e33a2f8e6c8b8e82743f015d988a326f",
+    ("f", 2, "x"): "531ac05c53ad2179173ff39c86a6a20f878e543c4b02301d3664e298f3a11a79",
+    ("f", 3, "x"): "6ffa1a2200ee8deb0f123f99b787bee3ba8c1faf65983440c7c49011d95529ae",
+    ("f", 4, "x"): "6a14be436371f33d5bd5a5d5b71a0f7f6b0478b055ffd7cb5f66be3a077a10ad",
+    ("f", 5, "x"): "c84433facfffac466820341d91ec37b2d1c5e89e1901fa7ccee4edff6f4271b2",
+    ("f", 6, "x"): "0309e3683f2bf7275b923a8dbd63a55a7b90c2ad9e61dde571d5d52b78d7e8b3",
+    ("g", 1, "x"): "45015c260341433bafcbcc95f9663379644d880393303ac6b51c0bbdbb0c33a5",
+    ("g", 2, "x"): "ab6f98f308f7c3119544bb54c826b697b26c9800ea00b7eb5bdee1cc23e77738",
+    ("g", 3, "x"): "73ea43281a7b8531894fec1c52136a28c583ce1cca9a8e733430246667658553",
+    ("g", 4, "x"): "7f37244f3ece2b0cb152dba72d5ca20e9bf8c27c119afb50bb6a8096203134f3",
+    ("g", 5, "x"): "de62b6752e642a5d69800fa977deb210cda59444138c1b81d9ff78558011aa77",
+    ("g", 6, "x"): "53bf099f9017a0e674ecf0aa05840ff12d0bba85af9356c4c948fc0c63a9f6d8",
+    ("h", 1, "x"): "df7eb9e2801b563af878cc7dae8ae29a82dcf5c2b5f4ab3832dcbc2fabcc3e75",
+    ("h", 2, "x"): "301969b2ef3a6585a17d01a9a15dcd9baf4258285eb997fab5223017983a9481",
+    ("h", 3, "x"): "1d2a81b5858417f7b115a8e77808ef44fd963c554fe5d1652a4433ef0cc51635",
+    ("h", 4, "x"): "42ddbb7abb2ce39f7efa3775ad16b21a877647e687b9de314a22ee9ab57c7b9a",
+    ("h", 5, "x"): "a4c1b7362a7b979bee56112f9f28524c4b35cc4ff6ff137363086d6addb1412c",
+    ("h", 6, "x"): "72bbc32786f9eacfd162b3aea27b6d8b35a3a68f8e704201b8fc4459c1b8163b",
+}
+
+TABLE_CASES = (
+    [pytest.param(kind, r, "H", digest, id=f"{kind}-{r}")
+     for (kind, r), digest in sorted(TABLE_SHA256.items())]
+    + [pytest.param(kind, r, basis, digest, id=f"{kind}-{r}-{basis}")
+       for (kind, r, basis), digest in sorted(BASIS_TABLE_SHA256.items())])
+
+
+@pytest.mark.parametrize("kind, r, basis, digest", TABLE_CASES)
+def test_table_json_hashes(kind, r, basis, digest):
+    doc = json.dumps(engine.export_table_json(kind, r, basis), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest

@@ -117,6 +117,18 @@ def test_H_from_a_reference_rows():
         + 6 * a(1) * a(5) - a(6))
 
 
+def test_H_from_a_matches_complete_bell():
+    # the recurrence behind H_from_a against the defining (-1)^r B_r(-a)
+    for r in range(1, 13):
+        neg_a = bell.Seq([-a(j) for j in range(1, r + 1)])
+        assert hbasis.H_from_a(r) == bell.complete_bell(r, neg_a) * (-1) ** r, r
+    # rows past bell's order guard exist too: an order-9 a-basis table
+    # needs H_26
+    top = hbasis.H_from_a(26)
+    assert all(type(c) is int for c in top.terms.values())
+    assert top.coefficient((1,) * 26) == 1 and top.coefficient((26,)) == -1
+
+
 def test_a_from_H_reference_rows():
     assert hbasis.a_from_H(1) == H(1)
     assert hbasis.a_from_H(2) == H(1) ** 2 - H(2)

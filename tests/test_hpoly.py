@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from cfx.hpoly import Poly
+from cfx.hpoly import LPoly, Poly
+from cfx.partitions import Partition
 
 H1, H2, H3 = Poly.atom(1), Poly.atom(2), Poly.atom(3)
 
@@ -74,3 +75,14 @@ def test_sorted_terms_stable():
 def test_mixed_float_coeffs():
     p = 0.5 * H1 + H2
     assert p.eval({1: 2.0, 2: 1.0}) == 2.0
+
+
+def test_mixed_families_and_numbers():
+    # a Poly is a scalar to an LPoly, from either side
+    lp = LPoly.monomial(Partition.of(1, 1), H1)
+    assert H2 * lp == lp * H2 == LPoly.monomial(Partition.of(1, 1), H1 * H2)
+    assert lp + H3 == H3 + lp == lp + LPoly.const(H3)
+    assert lp - lp == 0 and not LPoly.one() * 0
+    # Poly stays hashable and equal to a matching number
+    assert Poly.const(3) == 3 and Poly.const(F(1, 2)) == F(1, 2) and Poly() == 0
+    assert {H1 * H2: "x"}[Poly.atom(2) * H1] == "x"
