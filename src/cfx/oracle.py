@@ -8,7 +8,10 @@ with the engine's tables is a genuine two-route check.
 ``exact_lnF_quantile`` gives the reference quantile of half the log of an F
 ratio through the regularized incomplete beta, and ``mc_cdf`` estimates the
 distribution of a standardized estimate by direct simulation with a
-counter-based generator (explicit, shard-stable seeding).
+counter-based generator (explicit, shard-stable seeding).  One simulation
+serves one x or a sequence of x, and it streams: the statistic is made and
+counted in blocks of about 2^16 draws (0.5 MB), so memory stays at a few MB
+whatever the replication count and sample size.
 """
 
 from __future__ import annotations
@@ -145,9 +148,9 @@ def exact_lnF_quantile(n1, n2, p):
 # ---------------------------------------------------------------------------
 
 _SHARD = 200_000
-# values per population block: a shard's n-column sample is drawn a block of
-# rows at a time, which bounds memory and leaves the stream unchanged
-_BLOCK_VALUES = 1 << 20
+# draws per block: a shard's statistic is made and counted a block of
+# replications at a time, so memory stays cache-sized and the stream unchanged
+_BLOCK_VALUES = 1 << 16
 MIN_REPLICATIONS = 1000
 
 
@@ -161,7 +164,9 @@ def _rng(seed, shard):
 
 def _draw_population(rng, shape, population):
     if population == "standardized_exponential":
-        return rng.exponential(size=shape) - 1.0
+        d = rng.exponential(size=shape)
+        d -= 1.0
+        return d
     if population == "normal":
         return rng.standard_normal(size=shape)
     raise ValueError(f"unknown population {population!r}")
@@ -175,15 +180,38 @@ def _population_moments(population):
     raise ValueError(f"unknown population {population!r}")
 
 
-def _population_statistic(rng, m, n, population, stat):
-    """``stat`` applied to m samples of size n, drawn in row blocks."""
+def _statistic_blocks(spec, n, rng, m):
+    """The statistic of a shard's m replications, yielded in draw order a
+    block of about ``_BLOCK_VALUES`` draws at a time."""
     import numpy as np
-    y = np.empty(m)
-    rows = max(1, _BLOCK_VALUES // n)
+    model = spec["model"]
+    if model == "lnF":
+        n1, n2 = spec["n1"], spec["n2"]
+        scale = math.sqrt(2.0 * n1 * n2 / (n1 + n2))
+        # the stream draws every c1 before any c2, so c1 is kept whole
+        c1 = rng.gamma(n1 / 2.0, size=m)
+        c1 *= 2.0
+        c1 /= n1
+        for lo in range(0, m, _BLOCK_VALUES):
+            c2 = 2.0 * rng.gamma(n2 / 2.0, size=min(_BLOCK_VALUES, m - lo))
+            yield scale * (0.5 * np.log(c1[lo:lo + len(c2)] / (c2 / n2)))
+        return
+    if model == "studentized_mean":
+        def stat(d):
+            return math.sqrt(n) * d.mean(axis=1) / np.sqrt(d.var(axis=1))
+    elif model == "sample_variance":
+        mu = _population_moments(spec["population"])
+        a21 = mu[4] - mu[2] ** 2
+
+        def stat(d):
+            return math.sqrt(n / a21) * (d.var(axis=1) - mu[2])
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    size = int(n)
+    rows = max(1, _BLOCK_VALUES // size)
     for lo in range(0, m, rows):
-        hi = min(m, lo + rows)
-        y[lo:hi] = stat(_draw_population(rng, (hi - lo, n), population))
-    return y
+        shape = (min(rows, m - lo), size)
+        yield stat(_draw_population(rng, shape, spec["population"]))
 
 
 def mc_cdf(spec, n, x, N, seed):
@@ -195,6 +223,9 @@ def mc_cdf(spec, n, x, N, seed):
       {"model": "studentized_mean", "population": "standardized_exponential"}
       {"model": "sample_variance", "population": "standardized_exponential"}
 
+    ``x`` may also be a sequence: one simulation then gives a list of pairs,
+    each equal to what a call with that point alone gives.
+
     Deterministic under a fixed seed: replications are sharded and each
     shard's stream is keyed by (seed, shard index), so the result does not
     depend on how shards are scheduled.
@@ -202,38 +233,19 @@ def mc_cdf(spec, n, x, N, seed):
     import numpy as np
     if N < MIN_REPLICATIONS:
         raise ValueError(f"N={N} replications is too noisy to be meaningful")
-    model = spec["model"]
-    count = 0
-    done = 0
-    shard = 0
-    while done < N:
-        m = min(_SHARD, N - done)
+    scalar = np.ndim(x) == 0
+    xs = [x] if scalar else list(x)
+    counts = [0] * len(xs)
+    for shard, done in enumerate(range(0, N, _SHARD)):
         rng = _rng(seed, shard)
-        if model == "lnF":
-            n1, n2 = spec["n1"], spec["n2"]
-            c1 = 2.0 * rng.gamma(n1 / 2.0, size=m)
-            c2 = 2.0 * rng.gamma(n2 / 2.0, size=m)
-            z = 0.5 * np.log((c1 / n1) / (c2 / n2))
-            nn = 2.0 * n1 * n2 / (n1 + n2)
-            y = math.sqrt(nn) * z
-        elif model == "studentized_mean":
-            y = _population_statistic(
-                rng, m, int(n), spec["population"],
-                lambda d: math.sqrt(n) * d.mean(axis=1) / np.sqrt(d.var(axis=1)))
-        elif model == "sample_variance":
-            mu = _population_moments(spec["population"])
-            a21 = mu[4] - mu[2] ** 2
-            y = _population_statistic(
-                rng, m, int(n), spec["population"],
-                lambda d: math.sqrt(n / a21) * (d.var(axis=1) - mu[2]))
-        else:
-            raise ValueError(f"unknown model {model!r}")
-        count += int(np.count_nonzero(y <= x))
-        done += m
-        shard += 1
-    est = count / N
-    se = math.sqrt(max(est * (1.0 - est), 1e-12) / N)
-    return est, se
+        for y in _statistic_blocks(spec, n, rng, min(_SHARD, N - done)):
+            for i, xi in enumerate(xs):
+                counts[i] += int(np.count_nonzero(y <= xi))
+    out = []
+    for count in counts:
+        est = count / N
+        out.append((est, math.sqrt(max(est * (1.0 - est), 1e-12) / N)))
+    return out[0] if scalar else out
 
 
 # ---------------------------------------------------------------------------

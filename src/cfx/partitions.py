@@ -121,7 +121,10 @@ class Partition:
         exp = self.exponents()
         for p, m in other._items:
             exp[p] = exp.get(p, 0) + m
-        return Partition(exp)
+        # both item tuples are valid, so the sum is too: skip __init__'s checks
+        merged = object.__new__(Partition)
+        merged._items = tuple(sorted(exp.items()))
+        return merged
 
     def bracket_factor(self, other):
         """The integer c with [self][other] = c [self.merge(other)]:

@@ -1,9 +1,7 @@
 """The demo scripts run to completion.
 
 Each demo runs as its own process with ``PYTHONPATH=src`` and must exit 0
-with nothing on stderr.  ``distribution_and_density`` is left out: it takes
-about 9 s, mostly Monte-Carlo simulation, where the four below finish in
-well under half a second each.
+with nothing on stderr.
 """
 
 import os
@@ -16,8 +14,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("name", ["custom_model", "gamma_matching",
-                                  "quantile_reference_table", "symbolic_tables"])
+@pytest.mark.parametrize("name", ["custom_model", "distribution_and_density",
+                                  "gamma_matching", "quantile_reference_table",
+                                  "symbolic_tables"])
 def test_demo_runs(name):
     env = dict(os.environ, PYTHONPATH="src")
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],

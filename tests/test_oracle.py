@@ -91,16 +91,44 @@ def test_mc_estimates_pinned(spec, n, x, N, seed, want):
     assert oracle.mc_cdf(spec, n, x, N, seed=seed) == want
 
 
+@pytest.mark.parametrize("block", [1 << 10, 1 << 20])
+def test_mc_estimates_independent_of_block_size(block, monkeypatch):
+    # the block size bounds memory only: the stream and every estimate stay
+    monkeypatch.setattr(oracle, "_BLOCK_VALUES", block)
+    for spec, n, x, N, seed, want in MC_PINNED:
+        assert oracle.mc_cdf(spec, n, x, N, seed=seed) == want, spec
+
+
+@pytest.mark.parametrize("spec, n, N", [
+    ({"model": "lnF", "n1": 24, "n2": 60}, None, 450_000),  # three shards
+    ({"model": "studentized_mean", "population": "standardized_exponential"},
+     50.0, 30_000),
+    ({"model": "sample_variance", "population": "normal"}, 40.0, 30_000),
+])
+def test_mc_vector_x_equals_scalar_calls(spec, n, N):
+    xs = [0.7, -0.4, 0.0, 0.7, 2.5]  # unsorted, with a repeat
+    got = oracle.mc_cdf(spec, n, xs, N, seed=5)
+    assert got == [oracle.mc_cdf(spec, n, x, N, seed=5) for x in xs]
+    assert got[0] == got[3]
+    assert oracle.mc_cdf(spec, n, (0.0,), N, seed=5) == [got[2]]
+
+
 def test_mc_memory_bounded():
-    spec = {"model": "studentized_mean", "population": "normal"}
-    tracemalloc.start()
-    try:
-        got = oracle.mc_cdf(spec, 200.0, 1.0, 200_000, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got == (0.83962, 0.0008205432822222115)
-    assert peak < 64e6, peak
+    cases = [
+        ({"model": "studentized_mean", "population": "normal"}, 200.0, 1.0,
+         200_000, (0.83962, 0.0008205432822222115)),
+        ({"model": "lnF", "n1": 24, "n2": 60}, None, 0.5,
+         1_000_000, (0.710029, 0.00045374862992520425)),
+    ]
+    for spec, n, x, N, want in cases:
+        tracemalloc.start()
+        try:
+            got = oracle.mc_cdf(spec, n, x, N, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want, spec
+        assert peak < 8e6, (spec, peak)
 
 
 def test_validation_record():
