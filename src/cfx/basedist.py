@@ -253,6 +253,9 @@ def inv_reg_inc_beta(a, b, p):
     x = 0.5
     lbeta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     for _ in range(300):
+        if not 0.0 < x < 1.0:
+            raise NumericError(f"inverse incomplete beta a={a}, b={b} at "
+                               f"p={p} lies closer to {x} than float resolves")
         f = reg_inc_beta(a, b, x) - p
         if f > 0:
             hi = x

@@ -19,15 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-MAX_ORDER = 24
-
-
 class SeqLengthError(LookupError):
     """A sequence index beyond the stored coefficients was requested."""
-
-
-class BellOrderError(ValueError):
-    """Requested order exceeds the configured guard."""
 
 
 class Seq:
@@ -62,11 +55,6 @@ def _as_seq(y):
     return y if isinstance(y, Seq) else Seq(y)
 
 
-def _check_order(r):
-    if r > MAX_ORDER:
-        raise BellOrderError(f"order {r} exceeds guard MAX_ORDER={MAX_ORDER}")
-
-
 def partial_ordinary_bell(r, j, y):
     """B^_{rj}(y): coefficient of t^r in (sum y_k t^k)^j.
 
@@ -76,7 +64,6 @@ def partial_ordinary_bell(r, j, y):
     """
     if r < 0 or j < 0:
         raise ValueError("orders must be nonnegative")
-    _check_order(r)
     if j == 0:
         return 1 if r == 0 else 0
     if r < j:
@@ -126,7 +113,6 @@ def exponential_bell(r, j, x):
     y_k = x_k / k!."""
     if r < 0 or j < 0:
         raise ValueError("orders must be nonnegative")
-    _check_order(r)
     if j == 0:
         return 1 if r == 0 else 0
     if r < j:
@@ -143,7 +129,6 @@ def complete_bell(r, x):
         raise ValueError("order must be nonnegative")
     if r == 0:
         return 1
-    _check_order(r)
     x = _as_seq(x)
     if len(x) < r:
         raise SeqLengthError(f"B_{r} needs {r} coefficients, have {len(x)}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -35,12 +36,13 @@ class ConfigError(ValueError):
 
 def _build_model(args):
     if args.model_json:
-        try:
-            cfg = json.loads(args.model_json)
-        except json.JSONDecodeError:
-            with open(args.model_json) as fh:
-                cfg = json.load(fh)
-        return cumulants.model_from_config(cfg)
+        cfg = _read_model_json(args.model_json)
+        table = cumulants.model_from_config(cfg)
+        # a built-in model given as JSON answers as its flags do
+        args.model = cfg["model"]
+        if args.model == "lnF":
+            args.n1, args.n2 = int(cfg["n1"]), int(cfg["n2"])
+        return table
     if args.model == "lnF":
         if args.n1 is None or args.n2 is None:
             raise ConfigError("model lnF requires --n1 and --n2")
@@ -55,12 +57,29 @@ def _build_model(args):
             raise ConfigError("model sample_variance requires --mu R=VALUE pairs")
         mu = {}
         for tok in args.mu:
-            r, v = tok.split("=", 1)
+            r, eq, v = tok.partition("=")
+            if not eq or not r.strip().isdigit():
+                raise ConfigError(f"--mu {tok!r} is not an R=VALUE pair")
             mu[int(r)] = _frac(v)
         return cumulants.model_sample_variance(mu)
     if args.model == "gamma":
         return cumulants.model_gamma()
     raise ConfigError("no model given (use --model or --model-json)")
+
+
+def _read_model_json(text):
+    """The model config: ``text`` itself as JSON, else the JSON file it
+    names."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        pass
+    try:
+        with open(text) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as e:
+        raise ConfigError(f"--model-json: neither inline JSON nor a readable "
+                          f"JSON file ({e})") from None
 
 
 def _frac(v):
@@ -71,27 +90,32 @@ def _frac(v):
     except ValueError:
         pass
     try:
-        return float(v)
+        out = float(v)
     except ValueError:
         raise ConfigError(f"{v!r} is not a number") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{v!r} is not a finite number")
+    return out
 
 
 def _model_n(args, table):
-    if args.model == "lnF" or (table.label or "").startswith("lnF"):
-        n1 = args.n1
-        n2 = args.n2
-        if n1 and n2:
-            return Fraction(2 * n1 * n2, n1 + n2)
-    if args.n is None:
+    """The sample-size parameter: the model's own when it has one (lnF),
+    else --n."""
+    n = None if args.n is None else _frac(args.n)
+    if table.n is not None:
+        if n is not None and n != table.n:
+            raise ConfigError(f"--n {args.n} disagrees with the model's "
+                              f"sample-size parameter {table.n}")
+        return table.n
+    if n is None:
         raise ConfigError("this model requires --n (sample-size parameter)")
-    n = _frac(args.n)
     if not n > 0:
         raise ConfigError(f"--n {args.n}: the sample-size parameter must be positive")
     return n
 
 
 def _build_context(args, table, n):
-    if args.base == "gamma" or args.match_skew:
+    if args.base == "gamma":
         return engine.ExpansionContext.matched_gamma(table, n, J=args.J, K=args.K)
     return engine.ExpansionContext.raw(table, n)
 
@@ -127,29 +151,15 @@ def cmd_quantile(args):
     n = _model_n(args, table)
     ctx = _build_context(args, table, n)
     p = args.p
-    if ctx.flipped:
-        p_eval = 1.0 - p
-    else:
-        p_eval = p
     exact = None
     if args.model == "lnF" and not args.no_exact:
         exact = oracle.exact_lnF_quantile(args.n1, args.n2, p)
-        exact_eval = -exact if ctx.flipped else exact
-    else:
-        exact_eval = None
-    res = engine.quantile_expand(ctx, p_eval, args.order, exact=exact_eval)
-    rows = []
-    for row in res["rows"]:
-        out = {"order": row["order"],
-               "term": -row["term"] if ctx.flipped else row["term"],
-               "total": -row["total"] if ctx.flipped else row["total"]}
-        if "error" in row:
-            out["error"] = -row["error"] if ctx.flipped else row["error"]
-        rows.append(out)
+    res = ctx.quantile(p, args.order, exact=exact)
+    rows = res["rows"]
     payload = {"command": "quantile", "model": cumulants.table_to_config(table),
-               "p": p, "order": args.order, "base": ctx.base.kind,
+               "p": p, "order": args.order, "base": args.base,
                "n": float(n), "rows": rows,
-               "value": rows[-1]["total"],
+               "value": res["value"],
                "diverges_at": res["diverges_at"]}
     if ctx.tau is not None:
         payload["tau"] = float(ctx.tau)
@@ -177,10 +187,8 @@ def cmd_cdf(args):
     n = _model_n(args, table)
     ctx = _build_context(args, table, n)
     x = args.x
-    x_eval = -x if ctx.flipped else x
-    res = engine.cdf_expand(ctx, x_eval, args.order)
-    value = 1.0 - res["value"] if ctx.flipped else res["value"]
-    base = 1.0 - res["base"] if ctx.flipped else res["base"]
+    res = ctx.cdf(x, args.order)
+    value, base = res["value"], res["base"]
     payload = {"command": "cdf", "x": x, "order": args.order,
                "base_cdf": base, "terms": res["terms"], "value": value,
                "flipped": ctx.flipped}
@@ -216,7 +224,7 @@ def cmd_density(args):
     table = _build_model(args)
     n = _model_n(args, table)
     ctx = _build_context(args, table, n)
-    res = engine.density_expand(ctx, args.x, args.i, args.order)
+    res = ctx.density(args.x, args.i, args.order)
     payload = {"command": "density", "x": args.x, "i": args.i,
                "order": args.order, "terms": res["terms"], "value": res["value"]}
     lines = [f"(-D)^{args.i} density at {args.x}: {res['value']:.10f}"]
@@ -354,9 +362,8 @@ def _add_model_args(sp):
     sp.add_argument("--mu", nargs="*", metavar="R=VALUE",
                     help="central moments (sample_variance), e.g. 2=6/5")
     sp.add_argument("--n", help="sample-size parameter")
-    sp.add_argument("--base", choices=["normal", "gamma"], default="normal")
-    sp.add_argument("--match-skew", action="store_true",
-                    help="skew-matched gamma pipeline (implied by --base gamma)")
+    sp.add_argument("--base", choices=["normal", "gamma"], default="normal",
+                    help="normal, or a gamma matched to the estimate's skewness")
     sp.add_argument("--J", type=int, default=1, help="mean-series truncation")
     sp.add_argument("--K", type=int, default=1, help="variance-series truncation")
     sp.add_argument("--order", type=int, default=4, help="truncation order R")

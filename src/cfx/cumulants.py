@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import comb, factorial, isfinite, isqrt
 
 from .bell import Seq, partial_ordinary_bell
 
@@ -105,12 +105,13 @@ class _TableBase:
 class CumulantTable(_TableBase):
     """Raw cumulant coefficients a_{ri} plus the estimand and variance rate."""
 
-    def __init__(self, theta, a21, entries, defined="all", label=""):
+    def __init__(self, theta, a21, entries, defined="all", label="", n=None):
         super().__init__(entries, defined, label)
         if a21 <= 0:
             raise ModelError(f"variance rate a21={a21} must be positive")
         self.theta = theta
         self.a21 = a21
+        self.n = n  # the model's own sample-size parameter, if it fixes one
         if theta:
             self.entries[(1, 0)] = theta
         else:
@@ -122,7 +123,8 @@ class CumulantTable(_TableBase):
         flipped = {(r, i): (v if r % 2 == 0 else -v)
                    for (r, i), v in self.entries.items()}
         return CumulantTable(-self.theta, self.a21, flipped, self.defined,
-                             label=(self.label or "table") + "~negated")
+                             label=(self.label or "table") + "~negated",
+                             n=self.n)
 
 
 class ATable(_TableBase):
@@ -381,7 +383,7 @@ def model_lnF(n1, n2, max_order=_LNF_RMAX):
             j += 1
     entries = {k: v for k, v in entries.items() if v}
     return CumulantTable(Fraction(0), Fraction(1), entries, defined,
-                         label=f"lnF({n1},{n2})")
+                         label=f"lnF({n1},{n2})", n=n)
 
 
 def model_lnF_gamma_param(n1, n2, max_order=_LNF_RMAX):
@@ -538,11 +540,18 @@ def model_from_config(cfg):
     """
     if isinstance(cfg, str):
         cfg = json.loads(cfg)
+    if not isinstance(cfg, dict):
+        raise ModelError(f"a model config is a JSON object, not {cfg!r}")
     try:
         return _model_from_fields(cfg)
     except KeyError as e:
         raise ModelError(f"model {cfg.get('model')!r} needs the field "
                          f"{e.args[0]!r}") from None
+    except ModelError:
+        raise
+    except (TypeError, ValueError, AttributeError, ZeroDivisionError) as e:
+        raise ModelError(f"model {cfg.get('model')!r}: bad field value "
+                         f"({e})") from None
 
 
 def _model_from_fields(cfg):
@@ -568,10 +577,10 @@ def _model_from_fields(cfg):
 def _num(v):
     if v is None:
         return None
-    if isinstance(v, str):
+    if isinstance(v, (str, int)):
         return Fraction(v)
-    if isinstance(v, int):
-        return Fraction(v)
+    if not isfinite(v):
+        raise ModelError(f"{v} is not a finite number")
     return v
 
 

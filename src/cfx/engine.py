@@ -12,13 +12,12 @@ Standardized layer: substituting each L_k by its power series in 1/n, read
 from the model's ``cumulants.ATable`` through the series protocol of
 ``partitions.bracket_series_coeff``, turns the formal tables into the
 order-by-order expansion terms e_r(x) actually evaluated against a cumulant
-model; the split into a leading part and a series-correction part, and the
-closed forms of the leading part, are both implemented and cross-checked by
-the test-suite.
+model (the closed forms of its leading and residual parts live in the
+test-suite, which checks them against this generic path).
 
 Evaluation layer: cdf, quantile and density expansions about a concrete base
-distribution, and the term-count accounting used to compare truncation
-strategies.
+distribution, mapped into the estimate's own frame by ``ExpansionContext``,
+and the term-count accounting used to compare truncation strategies.
 
 The symbolic tables are built once (single-threaded) and cached immutable;
 evaluation calls are pure.
@@ -27,37 +26,23 @@ evaluation calls are pure.
 from __future__ import annotations
 
 import math
-import os
-from fractions import Fraction
 
 from . import basedist, cumulants, hbasis
 from .bell import Seq, partial_ordinary_bell
 from .hpoly import LPoly, Poly
 from .partitions import LSeries, Partition, bracket, bracket_series_coeff, hset
 
-DEFAULT_MAX_ORDER = 12
+MAX_ORDER = 12
 
 
 class OrderError(ValueError):
-    """Requested expansion order exceeds the configured guard."""
-
-
-def max_order():
-    """The order guard; overridable through the CFX_MAX_ORDER variable."""
-    env = os.environ.get("CFX_MAX_ORDER")
-    try:
-        return int(env) if env else DEFAULT_MAX_ORDER
-    except ValueError:
-        raise OrderError(f"CFX_MAX_ORDER={env!r} is not an integer") from None
+    """Requested expansion order is outside 0..MAX_ORDER."""
 
 
 def _check_order(r):
-    guard = max_order()
-    if r > guard:
-        raise OrderError(f"order {r} exceeds the guard {guard} "
-                         f"(set CFX_MAX_ORDER to raise it)")
-    if r < 0:
-        raise OrderError(f"order {r} < 0")
+    if not 0 <= r <= MAX_ORDER:
+        raise OrderError(f"order {r} is outside the supported range "
+                         f"0..{MAX_ORDER}")
 
 
 # ---------------------------------------------------------------------------
@@ -238,100 +223,69 @@ def e_r_standardized(kind, r, atable, J=None, K=None):
     return total
 
 
-def nabla_r(r, atable):
-    """The single-bracket closed form: the needed-coefficient diagonal
-    sum of Abar_{2i-r,i} H_{2i-r-1}."""
-    lo = (r + 2) // 2
-    total = Poly()
-    for i in range(lo, r + 2):
-        c = atable.abar(2 * i - r, i)
-        if c:
-            total = total + hbasis.H(2 * i - r - 1) * c
-    return total
-
-
-_NABLA_RE = {
-    4: ((Partition.parse("4^2"), 0),),
-    5: ((Partition.parse("4 5"), 0), (Partition.parse("3 4"), 1)),
-    6: ((Partition.parse("5^2"), 0), (Partition.parse("4 6"), 0),
-        (Partition.parse("4^3"), 0), (Partition.parse("4^2"), 1),
-        (Partition.parse("3 5"), 1), (Partition.parse("3^2"), 2)),
-}
-
-
-def nabla_re(kind, r, atable):
-    """The multi-bracket residual closed form: the short list of partitions
-    that survive at order r under the truncated-and-matched zero pattern."""
-    if r <= 3:
-        return Poly()
-    if r not in _NABLA_RE:
-        raise OrderError(f"closed residual form only tabulated through r=6, got {r}")
-    total = Poly()
-    for pi, i in _NABLA_RE[r]:
-        table = coefficient_lookup(kind, pi.weight)
-        val = table.get(pi)
-        if val is None:
-            continue
-        c = bracket_series_coeff(pi, atable, i)
-        if c:
-            total = total + val * c
-    return total
-
-
-def e_r_closed(kind, r, atable):
-    """nabla_r + nabla_re: the split evaluation, valid under the matched
-    zero pattern at the per-order (J, K) regime."""
-    return nabla_r(r, atable) + nabla_re(kind, r, atable)
-
-
 # ---------------------------------------------------------------------------
 # evaluation contexts and the three expansions
 # ---------------------------------------------------------------------------
 
 class ExpansionContext:
     """Everything an evaluation needs: the coefficient table to expand with,
-    the sample-size parameter, the affine frame (center, scale) mapping the
-    standardized variable back to the estimate, and the base distribution."""
+    the sample-size parameter, the base distribution, and the frame.
 
-    def __init__(self, atable, n, center, scale, base, label="", flipped=False,
+    The frame is one affine map between the estimate's standardized variable
+    Y = (theta^ - theta)/sigma, sigma = sqrt(a21/n), and the base variable
+    w = (sign*theta^ - center)/scale, where sign is -1 for an estimate
+    mirrored before expansion (``flipped``).  The kernels ``cdf_expand``,
+    ``quantile_expand`` and ``density_expand`` answer in w; the methods
+    ``quantile`` (theta^ units), ``cdf`` and ``density`` (Y units) answer
+    for the estimate itself, on every base.  A raw context maps Y to w = Y
+    bit for bit."""
+
+    def __init__(self, atable, n, base, theta, sigma, center, scale, sign=1,
                  tau=None, m=None):
         self.atable = atable
         self.n = n
+        self.base = base
+        self.theta = theta
+        self.sigma = sigma
         self.center = center
         self.scale = scale
-        self.base = base
-        self.label = label
-        self.flipped = flipped
+        self.sign = sign
         self.tau = tau
         self.m = m
+        # w = slope * (y - y0): y0 is the Y value at which w = 0
+        self._slope = sign * sigma / scale
+        self._y0 = (center - sign * theta) / (sign * sigma)
+
+    @property
+    def flipped(self):
+        return self.sign < 0
 
     @classmethod
     def raw(cls, table, n, base=None):
         """The plain standardized estimate (no truncation tricks), expanded
         about the given base (default normal)."""
-        atable = cumulants.standardize(table)
-        scale = math.sqrt(float(table.a21) / float(n))
-        return cls(atable, n, float(table.theta), scale,
-                   base or basedist.normal(), label=table.label or "raw")
+        theta = float(table.theta)
+        sigma = math.sqrt(float(table.a21) / float(n))
+        return cls(cumulants.standardize(table), n, base or basedist.normal(),
+                   theta, sigma, theta, sigma)
 
     @classmethod
     def matched_gamma(cls, table, n, J=1, K=1):
         """The skew-matched gamma pipeline.
 
-        Negates the estimate when its skewness coefficient is negative (the
-        caller must interpret results through ``flipped``), truncates the
-        mean/variance series at (J, K), matches the third-order coefficient
-        with a gamma of mean m = n*tau, and expands the difference about the
-        standardized gamma base.
+        Mirrors the estimate when its skewness coefficient is negative
+        (sign -1), truncates the mean/variance series at (J, K), matches the
+        third-order coefficient with a gamma of mean m = n*tau, and expands
+        the difference about the standardized gamma base.
         """
-        flipped = False
+        sign = 1
         work = table
         a32 = cumulants.standardize(table).get(3, 2)
         if a32 == 0:
             raise cumulants.MatchingError("estimate has zero skewness coefficient")
         if a32 < 0:
             work = table.negated()
-            flipped = True
+            sign = -1
         a_theta = cumulants.standardize(work)
         a_theta_jk = cumulants.jk_adjust(a_theta, J, K)
         a_w_jk = cumulants.jk_adjust(
@@ -340,10 +294,43 @@ class ExpansionContext:
         diff = cumulants.diff_coeffs(a_theta_jk, a_w_jk, tau, matched_skew=True)
         s1, s2 = cumulants.truncated_mean_var(work, J, K, n)
         m = float(n) * float(tau)
-        base = basedist.standardized_gamma(m)
-        return cls(diff, n, float(s1), math.sqrt(float(s2)), base,
-                   label=(table.label or "model") + "~gamma-matched",
-                   flipped=flipped, tau=tau, m=m)
+        return cls(diff, n, basedist.standardized_gamma(m), float(table.theta),
+                   math.sqrt(float(table.a21) / float(n)), float(s1),
+                   math.sqrt(float(s2)), sign, tau=tau, m=m)
+
+    def _w(self, y):
+        return self._slope * (y - self._y0)
+
+    def quantile(self, p, R, exact=None):
+        """``quantile_expand`` for the estimate: terms and totals in theta^
+        units; ``exact`` is a theta^ quantile.  A mirrored context answers
+        at 1 - p and negates every column."""
+        if self.sign > 0:
+            return _finite(quantile_expand(self, p, R, exact))
+        if not 0.0 < p < 1.0:
+            raise basedist.DomainError(f"probability {p} not in (0, 1)")
+        res = quantile_expand(self, 1.0 - p, R,
+                              None if exact is None else -exact)
+        rows = [{k: v if k == "order" else -v for k, v in row.items()}
+                for row in res["rows"]]
+        return _finite(dict(res, p=p, rows=rows, value=rows[-1]["total"]))
+
+    def cdf(self, y, R):
+        """``cdf_expand`` for the estimate: P(Y <= y) to order R."""
+        res = cdf_expand(self, self._w(y), R)
+        if self.sign < 0:
+            res = {"base": 1.0 - res["base"], "value": 1.0 - res["value"],
+                   "terms": [-t for t in res["terms"]]}
+        return _finite(dict(res, x=y))
+
+    def density(self, y, i, R):
+        """``density_expand`` for the estimate: (-d/dy)^i of Y's density at
+        y, which is the base-frame answer times |dw/dy| (dw/dy)^i, with
+        dw/dy = sign*sigma/scale."""
+        res = density_expand(self, self._w(y), i, R)
+        jacobian = self._slope ** i * (self.sigma / self.scale)
+        return _finite(dict(res, x=y, terms=[t * jacobian for t in res["terms"]],
+                            value=res["value"] * jacobian))
 
     def eval_e(self, kind, r, x, shift=0):
         poly = (e_r_standardized(kind, r, self.atable) if shift == 0
@@ -367,6 +354,12 @@ def _density_e(r, atable, i):
                 if c:
                     total = total + hbasis.H(pi.size + i) * c
     return total
+
+
+def _finite(res):
+    if not math.isfinite(res["value"]):
+        raise basedist.NumericError(f"the expansion evaluated to {res['value']}")
+    return res
 
 
 def cdf_expand(ctx, x, R):
@@ -565,43 +558,3 @@ def term_count_table(rmax=6):
             if r == 0:
                 break  # the order-0 row does not depend on the kind
     return rows
-
-
-# ---------------------------------------------------------------------------
-# numeric evaluation of the formal (fixed-L) series, for the inverse-map and
-# oracle comparisons
-# ---------------------------------------------------------------------------
-
-def eval_formal(lpoly, lvalues, hvalues):
-    """Evaluate an LPoly at numeric L values (1-indexed) and H values."""
-    seq = lvalues if isinstance(lvalues, Seq) else Seq(lvalues)
-    total = 0.0
-    for pi, val in lpoly.terms.items():
-        prod = 1.0
-        for part, mult in pi.items():
-            prod *= float(seq[part]) ** mult
-        total += prod * float(hbasis.hp_eval(val * Fraction(1, pi.norm), hvalues))
-    return total
-
-
-def formal_series_maps(R, lvalues, base, n):
-    """The truncated forward and inverse quantile maps at fixed L values:
-    F_R(x) = x - sum n^{-r/2} f_r(x), G_R(x) = x + sum n^{-r/2} g_r(x)."""
-    fs = [fg_formal("f", r) for r in range(1, R + 1)]
-    gs = [fg_formal("g", r) for r in range(1, R + 1)]
-    kmax = 3 * R + 2
-
-    def hv(x):
-        return [float(v) for v in base.h_seq(x, kmax)]
-
-    def F(x):
-        vals = hv(x)
-        return x - sum(float(n) ** (-(r + 1) / 2.0) * eval_formal(fp, lvalues, vals)
-                       for r, fp in enumerate(fs))
-
-    def G(x):
-        vals = hv(x)
-        return x + sum(float(n) ** (-(r + 1) / 2.0) * eval_formal(gp, lvalues, vals)
-                       for r, gp in enumerate(gs))
-
-    return F, G

@@ -1,0 +1,96 @@
+"""Closed forms and fixed-L formal maps that cross-check the engine.
+
+``e_r_closed`` is the split evaluation of the standardized expansion under
+the truncated-and-matched zero pattern (nabla_r + nabla_re), to be equal to
+``engine.e_r_standardized``; ``formal_series_maps`` evaluates the truncated
+forward and inverse quantile maps at fixed L values, to be mutual inverses.
+"""
+
+from fractions import Fraction
+
+from cfx import hbasis
+from cfx.bell import Seq
+from cfx.engine import OrderError, coefficient_lookup, fg_formal
+from cfx.hpoly import Poly
+from cfx.partitions import Partition, bracket_series_coeff
+
+
+def nabla_r(r, atable):
+    """The single-bracket closed form: the needed-coefficient diagonal
+    sum of Abar_{2i-r,i} H_{2i-r-1}."""
+    lo = (r + 2) // 2
+    total = Poly()
+    for i in range(lo, r + 2):
+        c = atable.abar(2 * i - r, i)
+        if c:
+            total = total + hbasis.H(2 * i - r - 1) * c
+    return total
+
+
+_NABLA_RE = {
+    4: ((Partition.parse("4^2"), 0),),
+    5: ((Partition.parse("4 5"), 0), (Partition.parse("3 4"), 1)),
+    6: ((Partition.parse("5^2"), 0), (Partition.parse("4 6"), 0),
+        (Partition.parse("4^3"), 0), (Partition.parse("4^2"), 1),
+        (Partition.parse("3 5"), 1), (Partition.parse("3^2"), 2)),
+}
+
+
+def nabla_re(kind, r, atable):
+    """The multi-bracket residual closed form: the short list of partitions
+    that survive at order r under the truncated-and-matched zero pattern."""
+    if r <= 3:
+        return Poly()
+    if r not in _NABLA_RE:
+        raise OrderError(f"closed residual form only tabulated through r=6, got {r}")
+    total = Poly()
+    for pi, i in _NABLA_RE[r]:
+        table = coefficient_lookup(kind, pi.weight)
+        val = table.get(pi)
+        if val is None:
+            continue
+        c = bracket_series_coeff(pi, atable, i)
+        if c:
+            total = total + val * c
+    return total
+
+
+def e_r_closed(kind, r, atable):
+    """nabla_r + nabla_re: the split evaluation, valid under the matched
+    zero pattern at the per-order (J, K) regime."""
+    return nabla_r(r, atable) + nabla_re(kind, r, atable)
+
+
+def eval_formal(lpoly, lvalues, hvalues):
+    """Evaluate an LPoly at numeric L values (1-indexed) and H values."""
+    seq = lvalues if isinstance(lvalues, Seq) else Seq(lvalues)
+    total = 0.0
+    for pi, val in lpoly.terms.items():
+        prod = 1.0
+        for part, mult in pi.items():
+            prod *= float(seq[part]) ** mult
+        total += prod * float(hbasis.hp_eval(val * Fraction(1, pi.norm), hvalues))
+    return total
+
+
+def formal_series_maps(R, lvalues, base, n):
+    """The truncated forward and inverse quantile maps at fixed L values:
+    F_R(x) = x - sum n^{-r/2} f_r(x), G_R(x) = x + sum n^{-r/2} g_r(x)."""
+    fs = [fg_formal("f", r) for r in range(1, R + 1)]
+    gs = [fg_formal("g", r) for r in range(1, R + 1)]
+    kmax = 3 * R + 2
+
+    def hv(x):
+        return [float(v) for v in base.h_seq(x, kmax)]
+
+    def F(x):
+        vals = hv(x)
+        return x - sum(float(n) ** (-(r + 1) / 2.0) * eval_formal(fp, lvalues, vals)
+                       for r, fp in enumerate(fs))
+
+    def G(x):
+        vals = hv(x)
+        return x + sum(float(n) ** (-(r + 1) / 2.0) * eval_formal(gp, lvalues, vals)
+                       for r, gp in enumerate(gs))
+
+    return F, G

@@ -42,11 +42,6 @@ def test_length_guard():
         y[3]
 
 
-def test_order_guard():
-    with pytest.raises(bell.BellOrderError):
-        bell.partial_ordinary_bell(bell.MAX_ORDER + 1, 1, Seq([F(1)] * 40))
-
-
 rational = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 

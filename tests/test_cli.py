@@ -1,10 +1,14 @@
 """Command-line interface: flags, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfx import cli
 
@@ -54,10 +58,11 @@ def test_quantile_json_deterministic(capsys):
 def test_quantile_gamma_base(capsys):
     code, out = run_capture(
         ["quantile", "--model", "lnF", "--n1", "24", "--n2", "60",
-         "--p", "0.95", "--base", "gamma", "--match-skew",
+         "--p", "0.95", "--base", "gamma",
          "--J", "1", "--K", "1", "--order", "4", "--format", "json"], capsys)
     assert code == 0
     doc = json.loads(out)
+    assert doc["base"] == "gamma"
     assert abs(doc["tau"] - 49 / 9) < 1e-12
     assert abs(doc["value"] - 0.26534844) < 1e-3
     assert doc["rows"][1]["term"] == 0.0  # e1 = 0 at J = K = 1
@@ -174,10 +179,11 @@ def assert_config_error(argv, capsys):
     return err
 
 
-def test_bad_order_guard_variable(monkeypatch, capsys):
-    monkeypatch.setenv("CFX_MAX_ORDER", "abc")
-    assert_config_error(["quantile", "--model", "lnF", "--n1", "24", "--n2", "60",
-                         "--p", "0.95", "--order", "2"], capsys)
+def test_order_above_guard(capsys):
+    # one guard, with no environment override
+    assert "0..12" in assert_config_error(
+        ["quantile", "--model", "lnF", "--n1", "24", "--n2", "60",
+         "--p", "0.95", "--order", "13"], capsys)
 
 
 def test_negative_order(capsys):
@@ -227,3 +233,102 @@ def test_non_finite_x(command, x, capsys):
                 f"--x={x}", "--order", "2"]) == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
     assert err.startswith("numeric error: ") and err.count("\n") == 1, err
+
+
+LNF_JSON = '{"model": "lnF", "n1": 24, "n2": 60}'
+
+
+@pytest.mark.parametrize("question", [["quantile", "--p", "0.95"],
+                                      ["cdf", "--x", "0.5"],
+                                      ["density", "--x", "0.5"]])
+@pytest.mark.parametrize("base", ["normal", "gamma"])
+def test_model_json_answers_as_the_flags(question, base, capsys):
+    # lnF's sample size, exact column and sampler come from the model,
+    # whichever form names it
+    tail = ["--order", "3", "--base", base, "--format", "json"]
+    code, flags = run_capture([question[0], "--model", "lnF", "--n1", "24",
+                               "--n2", "60", *question[1:], *tail], capsys)
+    assert code == 0
+    code, js = run_capture([question[0], "--model-json", LNF_JSON,
+                            *question[1:], *tail], capsys)
+    assert code == 0 and js == flags
+    code, same_n = run_capture([question[0], "--model-json", LNF_JSON,
+                                "--n", "240/7", *question[1:], *tail], capsys)
+    assert code == 0 and same_n == flags
+
+
+@pytest.mark.parametrize("model", [["--model", "lnF", "--n1", "24", "--n2", "60"],
+                                   ["--model-json", LNF_JSON]])
+def test_n_disagreeing_with_the_model(model, capsys):
+    assert "sample-size" in assert_config_error(
+        ["quantile", *model, "--n", "5", "--p", "0.95"], capsys)
+
+
+def test_moment_without_value(capsys):
+    assert_config_error(["quantile", "--model", "sample_variance", "--mu", "2",
+                         "--n", "10", "--p", "0.9"], capsys)
+
+
+@pytest.mark.parametrize("text", ["{bad", "5", '["lnF"]',
+                                  '{"model": "lnF", "n1": "x", "n2": 3}',
+                                  '{"model": "custom", "a21": 1, "table": [[1]]}',
+                                  '{"model": "studentized_mean", "nu3": NaN}'])
+def test_bad_model_json(text, capsys):
+    assert_config_error(["quantile", "--model-json", text, "--n", "10",
+                         "--p", "0.9"], capsys)
+
+
+def test_match_skew_is_gone(capsys):
+    # --base gamma is the one switch
+    assert run(["quantile", "--model", "lnF", "--n1", "24", "--n2", "60",
+                "--p", "0.95", "--match-skew"]) == cli.EXIT_CONFIG
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite {name} in the JSON output")
+
+
+FUZZ_MODELS = [
+    ["--model", "lnF", "--n1", "24", "--n2", "60"],
+    ["--model", "lnF", "--n1", "60", "--n2", "24"],
+    ["--model", "lnF", "--n1", "3", "--n2", "2"],
+    ["--model-json", LNF_JSON],
+    ["--model", "studentized_mean", "--nu3", "2", "--nu4", "9", "--nu5", "44",
+     "--n", "200"],
+    ["--model", "studentized_mean", "--nu3", "0", "--nu4", "3", "--n", "30"],
+    ["--model", "sample_variance", "--mu", "2=1", "3=2", "4=9", "5=44",
+     "6=265", "7=1854", "8=14833", "10=1334961", "--n", "50"],
+    ["--model", "gamma", "--n", "7"],
+    ["--model-json", '{"model": "custom", "a21": 1, "table": [[3, 2, -2]]}',
+     "--n", "20"],
+]
+edge_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, 1.0, -1.0, 0.5, 1e-300, 1 - 1e-16, 1e-17, 40.0,
+                     -40.0, 1e300]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["quantile", "cdf", "density"]),
+       model=st.sampled_from(FUZZ_MODELS),
+       base=st.sampled_from(["normal", "gamma"]),
+       order=st.integers(min_value=0, max_value=4),
+       arg=edge_floats, i=st.integers(min_value=0, max_value=2))
+def test_fuzz_exit_codes(command, model, base, order, arg, i):
+    # every input gives an answer or a documented exit code: no traceback,
+    # no NaN or infinity in the JSON
+    flag = "--p" if command == "quantile" else "--x"
+    argv = [command, *model, "--base", base, "--order", str(order),
+            f"{flag}={arg!r}", "--format", "json"]
+    if command == "density":
+        argv += ["--i", str(i)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4, 5), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        doc = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert math.isfinite(doc["value"])
+    else:
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())

@@ -12,6 +12,8 @@ from cfx import basedist, cumulants, engine, hbasis
 from cfx.hpoly import Poly
 from cfx.partitions import Partition
 
+import _engine_routes as routes
+
 H = hbasis.H
 
 
@@ -218,13 +220,13 @@ def test_nabla_closed_forms():
     # under (J=3, K=4) with matching: nabla_2 = Abar43 H3,
     # nabla_5 = Abar34 H2 + Abar55 H4 + Abar76 H6
     A = random_pattern_table(3, 4)
-    assert engine.nabla_r(2, A) == A.abar(4, 3) * H(3)
-    assert engine.nabla_r(1, A) == Poly()  # J >= 1 and matched skew
-    assert engine.nabla_r(3, A) == A.abar(3, 3) * H(2) + A.abar(5, 4) * H(4)
-    assert engine.nabla_r(4, A) == A.abar(4, 4) * H(3) + A.abar(6, 5) * H(5)
-    assert engine.nabla_r(5, A) == (A.abar(3, 4) * H(2) + A.abar(5, 5) * H(4)
+    assert routes.nabla_r(2, A) == A.abar(4, 3) * H(3)
+    assert routes.nabla_r(1, A) == Poly()  # J >= 1 and matched skew
+    assert routes.nabla_r(3, A) == A.abar(3, 3) * H(2) + A.abar(5, 4) * H(4)
+    assert routes.nabla_r(4, A) == A.abar(4, 4) * H(3) + A.abar(6, 5) * H(5)
+    assert routes.nabla_r(5, A) == (A.abar(3, 4) * H(2) + A.abar(5, 5) * H(4)
                                     + A.abar(7, 6) * H(6))
-    assert engine.nabla_r(6, A) == (A.abar(4, 5) * H(3) + A.abar(6, 6) * H(5)
+    assert routes.nabla_r(6, A) == (A.abar(4, 5) * H(3) + A.abar(6, 6) * H(5)
                                     + A.abar(8, 7) * H(7))
 
 
@@ -255,7 +257,7 @@ def test_split_equals_generic_under_regimes():
     for r, (J, K) in regimes.items():
         A = random_pattern_table(J, K)
         for kind in ("h", "f", "g"):
-            assert engine.e_r_standardized(kind, r, A) == engine.e_r_closed(kind, r, A), (kind, r)
+            assert engine.e_r_standardized(kind, r, A) == routes.e_r_closed(kind, r, A), (kind, r)
 
 
 def test_e1_vanishes_when_matched_and_centered():
@@ -272,15 +274,20 @@ def test_all_zero_model_gives_zero_expansions():
 
 
 def test_order_guard():
+    # one guard, engine.MAX_ORDER = 12, for every entry point that takes an
+    # order
+    assert engine.MAX_ORDER == 12
+    ctx = lnf_ctx()
+    for call in (lambda r: engine.h_formal(r), lambda r: engine.crk(r, r),
+                 lambda r: engine.fg_formal("g", r),
+                 lambda r: engine.e_r_standardized("h", r, ctx.atable),
+                 lambda r: engine.cdf_expand(ctx, 0.5, r),
+                 lambda r: engine.quantile_expand(ctx, 0.5, r),
+                 lambda r: ctx.density(0.5, 0, r)):
+        with pytest.raises(engine.OrderError, match="0..12"):
+            call(engine.MAX_ORDER + 1)
     with pytest.raises(engine.OrderError):
-        engine.h_formal(engine.max_order() + 1)
-    import os
-    os.environ["CFX_MAX_ORDER"] = "2"
-    try:
-        with pytest.raises(engine.OrderError):
-            engine.crk(3, 3)
-    finally:
-        del os.environ["CFX_MAX_ORDER"]
+        engine.cdf_expand(ctx, 0.5, -1)
 
 
 def test_missing_coefficient_is_named():
@@ -452,7 +459,7 @@ def test_inverse_map_scaling():
     for R in (2, 3, 4):
         errs = []
         for n in (100.0, 1000.0, 10000.0):
-            Fm, Gm = engine.formal_series_maps(R, lvals, base, n)
+            Fm, Gm = routes.formal_series_maps(R, lvals, base, n)
             errs.append(abs(Fm(Gm(x)) - x))
         slope = np.polyfit(np.log([1e2, 1e3, 1e4]), np.log(errs), 1)[0]
         assert slope <= -(R + 1) / 2 + 0.1, (R, slope, errs)
