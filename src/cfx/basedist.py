@@ -84,7 +84,12 @@ def normal_inv_cdf(p):
     # two Halley refinements on Phi(x) - p
     for _ in range(2):
         e = normal_cdf(x) - p
-        u = e * math.sqrt(2 * math.pi) * math.exp(0.5 * x * x)
+        try:
+            u = e * math.sqrt(2 * math.pi) * math.exp(0.5 * x * x)
+        except OverflowError:
+            # p below about 1e-308: Phi(x) - p is a difference of
+            # subnormals, so the seed (within 2e-9) is the better answer
+            break
         x -= u / (1 + 0.5 * x * u)
     return x
 
@@ -168,6 +173,7 @@ def inv_reg_inc_gamma(a, p):
     if not lo < x < hi:
         x = 0.5 * (lo + hi)
     for _ in range(200):
+        xf = x
         f = reg_inc_gamma(a, x) - p
         if f > 0:
             hi = x
@@ -187,7 +193,18 @@ def inv_reg_inc_gamma(a, p):
             x = xn
             break
         x = xn
+    _check_newton_step(f, -xf + (a - 1.0) * math.log(xf) - gln, xf,
+                       f"inverse incomplete gamma a={a}, p={p}")
     return x
+
+
+def _check_newton_step(f, lnpdf, x, what):
+    """Raise unless the Newton step |f|/pdf(x) of the last residual f at
+    x > 0 is within 1e-8 x (compared in logs: pdf(x) may overflow).  The
+    loops stop at |P(x) - p| < 1e-16, which says nothing once p is tiny."""
+    if f and math.log(abs(f)) - lnpdf - math.log(x) > math.log(1e-8):
+        raise NumericError(f"{what}: no convergence, the last Newton step "
+                           f"at x={x:.6g} exceeds 1e-8 x (p too small)")
 
 
 def _beta_contfrac(a, b, x):
@@ -256,6 +273,7 @@ def inv_reg_inc_beta(a, b, p):
         if not 0.0 < x < 1.0:
             raise NumericError(f"inverse incomplete beta a={a}, b={b} at "
                                f"p={p} lies closer to {x} than float resolves")
+        xf = x
         f = reg_inc_beta(a, b, x) - p
         if f > 0:
             hi = x
@@ -274,6 +292,9 @@ def inv_reg_inc_beta(a, b, p):
             x = xn
             break
         x = xn
+    _check_newton_step(
+        f, (a - 1.0) * math.log(xf) + (b - 1.0) * math.log1p(-xf) - lbeta, xf,
+        f"inverse incomplete beta a={a}, b={b}, p={p}")
     return x
 
 
@@ -369,8 +390,9 @@ class GammaBase(BaseDistribution):
             raise DomainError(f"gamma evaluation point y={y} <= 0 (singular at 0)")
 
     def pdf(self, y):
-        if y <= 0:
+        if y < 0:
             return 0.0
+        self._require_support(y)
         return math.exp((self.m - 1) * math.log(y) - y - math.lgamma(self.m))
 
     def cdf(self, y):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -31,40 +30,31 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# model resolution
+# the question: a model config, a sample size and a base
 # ---------------------------------------------------------------------------
 
-def _build_model(args):
+_MODEL_FLAGS = ("n1", "n2", "nu3", "nu4", "nu5")
+
+
+def _model_config(args):
+    """The model in the schema of ``cumulants.model_from_config``: the
+    --model-json document, or the --model flags given, written the same
+    way (--mu R=VALUE pairs become the "mu" object)."""
     if args.model_json:
-        cfg = _read_model_json(args.model_json)
-        table = cumulants.model_from_config(cfg)
-        # a built-in model given as JSON answers as its flags do
-        args.model = cfg["model"]
-        if args.model == "lnF":
-            args.n1, args.n2 = int(cfg["n1"]), int(cfg["n2"])
-        return table
-    if args.model == "lnF":
-        if args.n1 is None or args.n2 is None:
-            raise ConfigError("model lnF requires --n1 and --n2")
-        return cumulants.model_lnF(args.n1, args.n2)
-    if args.model == "studentized_mean":
-        if args.nu3 is None:
-            raise ConfigError("model studentized_mean requires --nu3")
-        return cumulants.model_studentized_mean(
-            _frac(args.nu3), _frac(args.nu4), _frac(args.nu5))
-    if args.model == "sample_variance":
-        if not args.mu:
-            raise ConfigError("model sample_variance requires --mu R=VALUE pairs")
-        mu = {}
+        return _read_model_json(args.model_json)
+    if args.model is None:
+        raise ConfigError("no model given (use --model or --model-json)")
+    cfg = {"model": args.model}
+    cfg.update((k, getattr(args, k)) for k in _MODEL_FLAGS
+               if getattr(args, k) is not None)
+    if args.mu is not None:
+        cfg["mu"] = {}
         for tok in args.mu:
             r, eq, v = tok.partition("=")
-            if not eq or not r.strip().isdigit():
+            if not eq:
                 raise ConfigError(f"--mu {tok!r} is not an R=VALUE pair")
-            mu[int(r)] = _frac(v)
-        return cumulants.model_sample_variance(mu)
-    if args.model == "gamma":
-        return cumulants.model_gamma()
-    raise ConfigError("no model given (use --model or --model-json)")
+            cfg["mu"][r] = v
+    return cfg
 
 
 def _read_model_json(text):
@@ -82,42 +72,38 @@ def _read_model_json(text):
                           f"JSON file ({e})") from None
 
 
-def _frac(v):
-    if v is None:
-        return None
-    try:
-        return Fraction(v)
-    except ValueError:
-        pass
-    try:
-        out = float(v)
-    except ValueError:
-        raise ConfigError(f"{v!r} is not a number") from None
-    if not math.isfinite(out):
-        raise ConfigError(f"{v!r} is not a finite number")
-    return out
-
-
 def _model_n(args, table):
-    """The sample-size parameter: the model's own when it has one (lnF),
-    else --n."""
-    n = None if args.n is None else _frac(args.n)
-    if table.n is not None:
-        if n is not None and n != table.n:
-            raise ConfigError(f"--n {args.n} disagrees with the model's "
-                              f"sample-size parameter {table.n}")
+    """--n as a number, or the model's own sample-size parameter (lnF),
+    which --n may repeat but not contradict.  The context checks the
+    value."""
+    if args.n is None:
+        if table.n is None:
+            raise ConfigError("this model requires --n (sample-size parameter)")
         return table.n
-    if n is None:
-        raise ConfigError("this model requires --n (sample-size parameter)")
-    if not n > 0:
-        raise ConfigError(f"--n {args.n}: the sample-size parameter must be positive")
+    try:
+        n = Fraction(args.n)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"--n {args.n!r} is not a rational number") from None
+    if table.n is not None and n != table.n:
+        raise ConfigError(f"--n {args.n} disagrees with the model's "
+                          f"sample-size parameter {table.n}")
     return n
 
 
-def _build_context(args, table, n):
+def _question(args):
+    """(model config, model table, expansion context) of the flags."""
+    cfg = _model_config(args)
+    table = cumulants.model_from_config(cfg)
+    n = _model_n(args, table)
     if args.base == "gamma":
-        return engine.ExpansionContext.matched_gamma(table, n, J=args.J, K=args.K)
-    return engine.ExpansionContext.raw(table, n)
+        ctx = engine.ExpansionContext.matched_gamma(table, n, J=args.J, K=args.K)
+    else:
+        ctx = engine.ExpansionContext.raw(table, n)
+    return cfg, table, ctx
+
+
+def _lnF_dof(cfg):
+    return int(cfg["n1"]), int(cfg["n2"])
 
 
 # ---------------------------------------------------------------------------
@@ -147,18 +133,16 @@ def _emit(args, payload, table_text):
 # ---------------------------------------------------------------------------
 
 def cmd_quantile(args):
-    table = _build_model(args)
-    n = _model_n(args, table)
-    ctx = _build_context(args, table, n)
+    cfg, table, ctx = _question(args)
     p = args.p
     exact = None
-    if args.model == "lnF" and not args.no_exact:
-        exact = oracle.exact_lnF_quantile(args.n1, args.n2, p)
+    if cfg["model"] == "lnF" and not args.no_exact:
+        exact = oracle.exact_lnF_quantile(*_lnF_dof(cfg), p)
     res = ctx.quantile(p, args.order, exact=exact)
     rows = res["rows"]
     payload = {"command": "quantile", "model": cumulants.table_to_config(table),
                "p": p, "order": args.order, "base": args.base,
-               "n": float(n), "rows": rows,
+               "n": float(ctx.n), "rows": rows,
                "value": res["value"],
                "diverges_at": res["diverges_at"]}
     if ctx.tau is not None:
@@ -183,9 +167,7 @@ def cmd_cdf(args):
     if args.mc and args.mc < oracle.MIN_REPLICATIONS:
         raise ConfigError(f"--mc {args.mc}: a simulation needs at least "
                           f"{oracle.MIN_REPLICATIONS} replications")
-    table = _build_model(args)
-    n = _model_n(args, table)
-    ctx = _build_context(args, table, n)
+    cfg, _, ctx = _question(args)
     x = args.x
     res = ctx.cdf(x, args.order)
     value, base = res["value"], res["base"]
@@ -196,8 +178,8 @@ def cmd_cdf(args):
     for r, t in enumerate(res["terms"], start=1):
         lines.append(f"order {r} correction: {t:+.10f}")
     if args.mc:
-        spec = _mc_spec(args)
-        est, se = oracle.mc_cdf(spec, float(n), x, args.mc, seed=args.seed)
+        spec = _mc_spec(cfg, args.population)
+        est, se = oracle.mc_cdf(spec, float(ctx.n), x, args.mc, seed=args.seed)
         payload["mc"] = {"estimate": est, "stderr": se, "N": args.mc,
                          "seed": args.seed,
                          "within_3se": bool(abs(value - est) <= 3 * se)}
@@ -207,23 +189,17 @@ def cmd_cdf(args):
     return EXIT_OK
 
 
-def _mc_spec(args):
-    if args.model == "lnF":
-        return {"model": "lnF", "n1": args.n1, "n2": args.n2}
-    if args.model == "studentized_mean":
-        return {"model": "studentized_mean",
-                "population": args.population}
-    if args.model == "sample_variance":
-        return {"model": "sample_variance", "population": args.population}
-    raise ConfigError(f"no sampler available for model {args.model!r}")
+def _mc_spec(cfg, population):
+    if cfg["model"] == "lnF":
+        n1, n2 = _lnF_dof(cfg)
+        return {"model": "lnF", "n1": n1, "n2": n2}
+    if cfg["model"] in ("studentized_mean", "sample_variance"):
+        return {"model": cfg["model"], "population": population}
+    raise ConfigError(f"no sampler available for model {cfg['model']!r}")
 
 
 def cmd_density(args):
-    if args.i < 0:
-        raise ConfigError(f"--i {args.i}: the derivative order must be >= 0")
-    table = _build_model(args)
-    n = _model_n(args, table)
-    ctx = _build_context(args, table, n)
+    _, _, ctx = _question(args)
     res = ctx.density(args.x, args.i, args.order)
     payload = {"command": "density", "x": args.x, "i": args.i,
                "order": args.order, "terms": res["terms"], "value": res["value"]}
@@ -235,19 +211,12 @@ def cmd_density(args):
 
 
 def cmd_coeffs(args):
-    if args.r < 1:
-        raise ConfigError(f"--r {args.r}: tables start at order 1")
     basis = {"H": "H", "a": "a", "normal": "x"}[args.basis]
     payload = engine.export_table_json(args.kind, args.r, basis=basis)
     lines = [f"{args.kind}_{args.r} coefficient table ({args.basis} basis)"]
     for term in payload["terms"]:
-        pi = term["partition"]
-        if basis == "H":
-            lines.append(f"  {args.kind}({pi}) = {term['coeff_H']}")
-        elif basis == "a":
-            lines.append(f"  {args.kind}({pi}) = {term['coeff_a']}")
-        else:
-            lines.append(f"  {args.kind}({pi}) = {term.get('coeff_x', '0')}")
+        lines.append(f"  {args.kind}({term['partition']}) = "
+                     f"{term.get('coeff_' + basis, '0')}")
     _emit(args, payload, "\n".join(lines))
     return EXIT_OK
 
@@ -311,7 +280,7 @@ def run_validation(deep=False):
         g3[Partition.of(3, 4)]))
 
     # recurrence cross-check
-    ok = all(engine.crk_sym(r, k) == engine.crk_recurrence(r, k)
+    ok = all(engine.crk_sym(r, k) == oracle.crk_recurrence(r, k)
              for r in range(1, 6) for k in range(r, 3 * r + 1))
     checks.append({"check": "C_rk partition path == recurrence path",
                    "expected": True, "got": ok, "tolerance": 0, "pass": ok})
@@ -429,13 +398,10 @@ def main(argv=None):
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except cumulants.ModelOrderError as e:
         print(f"model-order error: {e}", file=sys.stderr)
         return EXIT_MODEL_ORDER
-    except (cumulants.ModelError, engine.OrderError) as e:
+    except (ConfigError, cumulants.ModelError, engine.OrderError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (basedist.DomainError, basedist.NumericError) as e:

@@ -167,9 +167,7 @@ def standardize(table):
 
 def manifest(r):
     """The new standardized coefficients entering at expansion order r:
-    (2i - r, i) for ceil((r+1)/2) <= i <= r+1."""
-    if r < 1:
-        raise ValueError("order must be >= 1")
+    (2i - r, i) for ceil((r+1)/2) <= i <= r+1, r >= 1."""
     lo = (r + 2) // 2  # ceil((r+1)/2)
     return tuple((2 * i - r, i) for i in range(lo, r + 2))
 
@@ -209,23 +207,14 @@ def d_coeffs(r, jmax, atable, K):
     return out
 
 
-class JKAdjustedTable(ATable):
-    """Standardized coefficients of the center/scale-truncated estimate.
+class _LazyATable(ATable):
+    """An ATable derived from ``source``: each entry is assembled by
+    ``_compute`` on first read and cached, so coverage errors surface
+    exactly when an unavailable source coefficient is touched, naming it."""
 
-    Lazy: each A^{JK}_{ri} is assembled on first read from the source table,
-    so coverage errors surface exactly when an unavailable coefficient is
-    touched, naming it.
-    """
-
-    def __init__(self, source, J, K):
-        if J < 0 or K < 1:
-            raise ModelError(f"need J >= 0 and K >= 1, got J={J}, K={K}")
-        super().__init__({}, source.defined,
-                         label=(source.label or "A") + f"~JK({J},{K})",
-                         theta=source.theta, a21=source.a21)
-        self.source = source
-        self.J = J
-        self.K = K
+    def __init__(self, source, label):
+        super().__init__({}, source.defined, label=label, theta=source.theta,
+                         a21=source.a21)
         self._cache = {}
 
     def covers(self, r, i):
@@ -240,6 +229,18 @@ class JKAdjustedTable(ATable):
         if key not in self._cache:
             self._cache[key] = self._compute(r, i)
         return self._cache[key]
+
+
+class JKAdjustedTable(_LazyATable):
+    """Standardized coefficients of the center/scale-truncated estimate."""
+
+    def __init__(self, source, J, K):
+        if J < 0 or K < 1:
+            raise ModelError(f"need J >= 0 and K >= 1, got J={J}, K={K}")
+        super().__init__(source, (source.label or "A") + f"~JK({J},{K})")
+        self.source = source
+        self.J = J
+        self.K = K
 
     def _compute(self, r, i):
         src, J, K = self.source, self.J, self.K
@@ -278,7 +279,7 @@ def match_tau(a_theta, a_w):
     return ratio * ratio
 
 
-class DiffTable(ATable):
+class DiffTable(_LazyATable):
     """Coefficients of kappa_r(Y_theta) - kappa_r(Y_w) with the comparison
     scale m = n*tau: A_{ri} = A_{ri,theta} - tau^{r/2-i} A_{ri,w}.
 
@@ -288,37 +289,24 @@ class DiffTable(ATable):
     rounding residue."""
 
     def __init__(self, a_theta, a_w, tau, matched_skew=False):
-        super().__init__({}, a_theta.defined,
-                         label=(a_theta.label or "theta") + "~diff",
-                         theta=a_theta.theta, a21=a_theta.a21)
+        super().__init__(a_theta, (a_theta.label or "theta") + "~diff")
         self.a_theta = a_theta
         self.a_w = a_w
         self.tau = tau
         self.tau_sqrt = exact_sqrt(tau)
         self.matched_skew = matched_skew
-        self._cache = {}
 
-    def covers(self, r, i):
-        return True
-
-    def get(self, r, i):
-        if r < 1 or i < 0:
-            raise ValueError(f"bad coefficient index ({r}, {i})")
-        if i < r - 1:
-            return 0
+    def _compute(self, r, i):
         if self.matched_skew and (r, i) == (3, 2):
             return 0
-        key = (r, i)
-        if key not in self._cache:
-            w = self.a_w.get(r, i)
-            t = self.a_theta.get(r, i)
-            power = r - 2 * i  # tau^{r/2-i} = tau_sqrt^{r-2i}
-            if power >= 0:
-                scale = self.tau_sqrt ** power
-            else:
-                scale = 1 / (self.tau_sqrt ** (-power))
-            self._cache[key] = t - scale * w
-        return self._cache[key]
+        w = self.a_w.get(r, i)
+        t = self.a_theta.get(r, i)
+        power = r - 2 * i  # tau^{r/2-i} = tau_sqrt^{r-2i}
+        if power >= 0:
+            scale = self.tau_sqrt ** power
+        else:
+            scale = 1 / (self.tau_sqrt ** (-power))
+        return t - scale * w
 
 
 def diff_coeffs(a_theta_jk, a_w_jk, tau, matched_skew=False):
@@ -326,9 +314,8 @@ def diff_coeffs(a_theta_jk, a_w_jk, tau, matched_skew=False):
 
 
 def truncated_mean_var(table, J, K, n):
-    """Partial sums (s1, s2) of the mean and variance series at size n."""
-    if J < 0 or K < 1:
-        raise ModelError(f"need J >= 0 and K >= 1, got J={J}, K={K}")
+    """Partial sums (s1, s2) of the mean and variance series at size n
+    (J and K as ``JKAdjustedTable`` checks them)."""
     s1 = sum((table.get(1, i) / n ** i for i in range(0, J + 1)), 0)
     s2 = sum((table.get(2, i) / n ** i for i in range(1, K + 1)), 0)
     if s2 <= 0:
@@ -386,50 +373,10 @@ def model_lnF(n1, n2, max_order=_LNF_RMAX):
                          label=f"lnF({n1},{n2})", n=n)
 
 
-def model_lnF_gamma_param(n1, n2, max_order=_LNF_RMAX):
-    """The same statistic rescaled to ln F = 2 Z, parameterized through the
-    gamma shapes m_i = n_i/2 with n = m1 m2/(m1 + m2).
-
-    Exactness cross-check for :func:`model_lnF`: the tables must agree under
-    a_{ri} -> 2^r 4^{-i} a_{ri}.
-    """
-    if n1 < 1 or n2 < 1:
-        raise ModelError("degrees of freedom must be >= 1")
-    m1 = Fraction(n1, 2)
-    m2 = Fraction(n2, 2)
-    n = m1 * m2 / (m1 + m2)
-    g1 = n / m1
-    g2 = n / m2
-    entries = {}
-    defined = set()
-    for r in range(1, max_order + 1):
-        for i in range(max(0, r - 1), _LNF_IMAX + 1):
-            defined.add((r, i))
-        sgn = (-1) ** r
-        entries[(r, r)] = (Fraction(factorial(r - 1), 2)
-                           * (g2 ** r + sgn * g1 ** r))
-        j = 0
-        while 2 * j + r - 1 <= _LNF_IMAX:
-            i = 2 * j + r - 1
-            if j == 0:
-                if r >= 2:
-                    entries[(r, i)] = (entries.get((r, i), 0) + factorial(r - 2)
-                                       * (g2 ** i + sgn * g1 ** i))
-            else:
-                coeff = ((-1) ** (j - 1) * abs(bernoulli(2 * j))
-                         * Fraction(factorial(2 * j + r - 2), factorial(2 * j)))
-                entries[(r, i)] = (entries.get((r, i), 0)
-                                   + coeff * (g2 ** i + sgn * g1 ** i))
-            j += 1
-    entries = {k: v for k, v in entries.items() if v}
-    return CumulantTable(Fraction(0), Fraction(1), entries, defined,
-                         label=f"lnF-gamma({n1},{n2})")
-
-
 _GAMMA_RMAX = 24
 
 
-def model_gamma(m=None):
+def model_gamma():
     """The scaled gamma estimate w^ = G/m, w = 1: a_{r,r-1} = (r-1)! at every
     order, all other coefficients exactly zero.
 
@@ -456,17 +403,13 @@ def model_sample_variance(mu):
     ``mu`` maps order -> central moment (orders 2..10 used).  Coefficients
     above expansion order 3 are outside the model and raise ModelOrderError.
     """
-    if isinstance(mu, (list, tuple)):
-        mu = {r: v for r, v in zip(range(2, 2 + len(mu)), mu)}
     need = [2, 3, 4, 5, 6, 7, 8, 10]
     missing = [r for r in need if r not in mu]
     if missing:
         raise ModelError(f"central moments {missing} required")
     m2, m3, m4, m5 = mu[2], mu[3], mu[4], mu[5]
     m6, m7, m8, m10 = mu[6], mu[7], mu[8], mu[10]
-    a21 = m4 - m2 ** 2
-    if a21 <= 0:
-        raise ModelError(f"mu4 - mu2^2 = {a21} must be positive")
+    a21 = m4 - m2 ** 2  # CumulantTable requires it positive
     entries = {
         (1, 1): -m2,
         (3, 2): m6 - 3 * m4 * m2 + 2 * m2 ** 3 - 6 * m3 ** 2,

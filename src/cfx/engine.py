@@ -30,19 +30,22 @@ import math
 from . import basedist, cumulants, hbasis
 from .bell import Seq, partial_ordinary_bell
 from .hpoly import LPoly, Poly
-from .partitions import LSeries, Partition, bracket, bracket_series_coeff, hset
+from .partitions import LSeries, bracket, bracket_series_coeff, hset
 
 MAX_ORDER = 12
 
 
 class OrderError(ValueError):
-    """Requested expansion order is outside 0..MAX_ORDER."""
+    """A requested order or index is outside its supported range."""
 
 
-def _check_order(r):
-    if not 0 <= r <= MAX_ORDER:
-        raise OrderError(f"order {r} is outside the supported range "
-                         f"0..{MAX_ORDER}")
+def _check_order(r, lo=0, hi=MAX_ORDER, name="order"):
+    """The one guard on expansion orders (0..MAX_ORDER; the symbolic tables
+    start at 1) and on the density's derivative order (no upper bound)."""
+    if r < lo:
+        raise OrderError(f"{name} {r} is below its least value {lo}")
+    if r > hi:
+        raise OrderError(f"{name} {r} is outside the supported range 0..{hi}")
 
 
 # ---------------------------------------------------------------------------
@@ -58,49 +61,11 @@ def crk_sym(r, k):
     return out
 
 
-def crk_recurrence(r, k):
-    """The same coefficient by the recurrence path: the boundary diagonal
-    C_rr from the parts-1-and-2 partitions, then C_{r,r+2i} by convolving
-    lower diagonal values with ordinary Bell polynomials of the shifted
-    symbols Lbar_m = L_{m+2}."""
-    if r == 0:
-        return LPoly.one() if k == 0 else LPoly.zero()
-    if k < r or k > 3 * r or (k - r) % 2:
-        return LPoly.zero()
-
-    def c_diag(j):
-        if j == 0:
-            return LPoly.one()
-        out = LPoly()
-        for i in range(0, j // 2 + 1):
-            exp = {}
-            if j - 2 * i:
-                exp[1] = j - 2 * i
-            if i:
-                exp[2] = i
-            out = out + LPoly.monomial(Partition(exp))
-        return out
-
-    i = (k - r) // 2
-    if i == 0:
-        return c_diag(r)
-    lbar = Seq([LPoly.monomial(Partition.of(m + 2)) for m in range(1, r + 1)])
-    total = LPoly.zero()
-    for j in range(0, r - i + 1):
-        b = partial_ordinary_bell(r - j, i, lbar)
-        if isinstance(b, int):
-            continue
-        total = total + (c_diag(j) * b).exact_div(math.factorial(i))
-    return total
-
-
 def crk(r, k, L=None):
     """C_rk: symbolic LPoly when L is None, a number for a plain 1-indexed
     coefficient sequence, or the list of series coefficients for an
     LSeries."""
-    if r < 1:
-        raise ValueError("order must be >= 1")
-    _check_order(r)
+    _check_order(r, lo=1)
     sym = crk_sym(r, k)
     if L is None:
         return sym
@@ -117,9 +82,7 @@ _fg_cache = {}
 
 def h_formal(r):
     """h_r as an LPoly: sum over weight-r partitions pi of [pi] H_{|pi|-1}."""
-    if r < 1:
-        raise ValueError("order must be >= 1")
-    _check_order(r)
+    _check_order(r, lo=1)
     if r not in _h_cache:
         out = LPoly()
         for k in range(r, 3 * r + 1, 2):
@@ -143,9 +106,7 @@ def fg_formal(kind, r):
         return h_formal(r)
     if kind not in ("f", "g"):
         raise ValueError(f"kind must be h, f or g, not {kind!r}")
-    if r < 1:
-        raise ValueError("order must be >= 1")
-    _check_order(r)
+    _check_order(r, lo=1)
     key = (kind, r)
     if key not in _fg_cache:
         hs = Seq([h_formal(j) for j in range(1, r + 1)])
@@ -204,13 +165,12 @@ def export_table_json(kind, r, basis="H"):
 # standardized expansions
 # ---------------------------------------------------------------------------
 
-def e_r_standardized(kind, r, atable, J=None, K=None):
+def e_r_standardized(kind, r, atable):
     """The order-r standardized expansion polynomial e_r(x), as a Poly in H.
 
     Generic path: e_r = sum_{0 <= i < r/2} e_{r-2i,i} where e_{s,i} collects
     the n^-i series coefficient of every bracket in the order-s formal
-    table.  J and K are accepted for interface symmetry; the zero pattern
-    they induce is already carried by the table's values.
+    table.  A (J, K)-truncated table carries its zero pattern in its values.
     """
     _check_order(r)
     total = Poly()
@@ -226,6 +186,22 @@ def e_r_standardized(kind, r, atable, J=None, K=None):
 # ---------------------------------------------------------------------------
 # evaluation contexts and the three expansions
 # ---------------------------------------------------------------------------
+
+def _check_n(n):
+    """Reject an n the expansion in powers of n^-1/2 cannot use: n > 0 with
+    a finite, nonzero float, and the top order's scale n^-(MAX_ORDER/2)
+    finite."""
+    top = -MAX_ORDER / 2
+    try:
+        ok = n > 0 and 0.0 < float(n) < math.inf and float(n) ** top < math.inf
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise cumulants.ModelError(
+            f"sample-size parameter n = {str(n)[:40]}"
+            f"{'...' if len(str(n)) > 40 else ''}: n must be positive, "
+            f"with a finite nonzero float and a finite n^{top:g}")
+
 
 class ExpansionContext:
     """Everything an evaluation needs: the coefficient table to expand with,
@@ -264,6 +240,7 @@ class ExpansionContext:
     def raw(cls, table, n, base=None):
         """The plain standardized estimate (no truncation tricks), expanded
         about the given base (default normal)."""
+        _check_n(n)
         theta = float(table.theta)
         sigma = math.sqrt(float(table.a21) / float(n))
         return cls(cumulants.standardize(table), n, base or basedist.normal(),
@@ -278,6 +255,7 @@ class ExpansionContext:
         third-order coefficient with a gamma of mean m = n*tau, and expands
         the difference about the standardized gamma base.
         """
+        _check_n(n)
         sign = 1
         work = table
         a32 = cumulants.standardize(table).get(3, 2)
@@ -307,8 +285,10 @@ class ExpansionContext:
         at 1 - p and negates every column."""
         if self.sign > 0:
             return _finite(quantile_expand(self, p, R, exact))
-        if not 0.0 < p < 1.0:
-            raise basedist.DomainError(f"probability {p} not in (0, 1)")
+        if not 0.0 < 1.0 - p < 1.0:
+            raise basedist.DomainError(
+                f"probability {p}: a mirrored estimate is expanded at "
+                f"1 - p = {1.0 - p}, which is not in (0, 1)")
         res = quantile_expand(self, 1.0 - p, R,
                               None if exact is None else -exact)
         rows = [{k: v if k == "order" else -v for k, v in row.items()}
@@ -373,6 +353,11 @@ def cdf_expand(ctx, x, R):
     cumulants.validate_for_order(ctx.atable, R)
     base_value = ctx.base.cdf(x)
     px = ctx.base.pdf(x)
+    if not px:
+        # off the base's support (or past where its density underflows)
+        # every correction carries the factor p(x) = 0: no H-value is needed
+        return {"x": x, "base": base_value, "terms": [0.0] * R,
+                "value": base_value}
     nn = float(ctx.n)
     terms = []
     total = base_value
@@ -391,11 +376,9 @@ def quantile_expand(ctx, p, R, exact=None):
     scale * n^{-r/2} g_r(x).  When ``exact`` is supplied an error column
     (total - exact) is included.
     """
-    if not 0.0 < p < 1.0:
-        raise basedist.DomainError(f"probability {p} not in (0, 1)")
     _check_order(R)
     cumulants.validate_for_order(ctx.atable, R)
-    x = ctx.base.inv_cdf(p)
+    x = ctx.base.inv_cdf(p)  # checks 0 < p < 1
     nn = float(ctx.n)
     rows = []
     total = ctx.center + ctx.scale * x
@@ -415,13 +398,14 @@ def quantile_expand(ctx, p, R, exact=None):
 def density_expand(ctx, x, i, R):
     """The i-th sign-alternating density derivative expansion:
     p(x) [H_i(x) + sum_{r<=R} n^{-r/2} h_{ir}(x)]."""
-    if i < 0:
-        raise ValueError("derivative order must be >= 0")
+    _check_order(i, hi=math.inf, name="derivative order")
     if not math.isfinite(x):
         raise basedist.DomainError(f"x = {x} is not finite")
     _check_order(R)
     cumulants.validate_for_order(ctx.atable, R)
     px = ctx.base.pdf(x)
+    if not px:
+        return {"x": x, "i": i, "terms": [0.0] * (R + 1), "value": 0.0}
     base_term = 1.0 if i == 0 else float(ctx.base.h_seq(x, i)[i - 1])
     nn = float(ctx.n)
     terms = [px * base_term]
@@ -503,15 +487,12 @@ ROW_SCHEDULE = {0: (0, 1), 1: (1, 1), 2: (1, 2), 3: (2, 2), 4: (2, 3),
 
 def term_count_cumulative(kind, rmax, schedule=None, matched=True,
                           base="general", drop_multi3=False,
-                          include_order0=True, J=None, K=None):
+                          include_order0=True):
     """Cumulative (N, M) through order rmax.
 
     ``schedule`` maps r to its (J, K); by default the per-order ladder
-    (0,1), (1,1), (1,2), (2,2), (2,3), (3,3), (3,4).  Fixed J and K may be
-    passed instead.
+    (0,1), (1,1), (1,2), (2,2), (2,3), (3,3), (3,4).
     """
-    if schedule is None and J is not None:
-        schedule = {r: (J, K) for r in range(0, rmax + 1)}
     schedule = schedule or ROW_SCHEDULE
     n_tot = 1 if include_order0 else 0
     m_tot = 0

@@ -3,7 +3,8 @@
 ``reversion_fg`` re-derives the forward and inverse quantile-map polynomials
 from the cdf-correction polynomials alone, by formal composition and series
 reversion: no inversion-ladder operators are involved, so exact agreement
-with the engine's tables is a genuine two-route check.
+with the engine's tables is a genuine two-route check.  ``crk_recurrence``
+does the same for the cdf-correction coefficients C_rk.
 
 ``exact_lnF_quantile`` gives the reference quantile of half the log of an F
 ratio through the regularized incomplete beta, and ``mc_cdf`` estimates the
@@ -23,6 +24,7 @@ from . import basedist, hbasis
 from .bell import Seq, partial_ordinary_bell
 from .engine import h_formal
 from .hpoly import LPoly, SparseMap
+from .partitions import Partition
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +63,6 @@ def reversion_fg(R):
     rule) isolates g_r the same way.  Everything stays in exact rational
     arithmetic; no floating point enters this path.
     """
-    if R < 1:
-        raise ValueError("R must be >= 1")
     hs = [h_formal(r) for r in range(1, R + 1)]
 
     # forward: f_r = h_r - sum_{k>=2} b_{rk}(f) H_{k-1}
@@ -123,6 +123,47 @@ def reversion_fg(R):
 
 
 # ---------------------------------------------------------------------------
+# the coefficient C_rk by recurrence
+# ---------------------------------------------------------------------------
+
+def crk_recurrence(r, k):
+    """The coefficient of H_{k-1} in h_r by the recurrence path, the
+    independent check of ``engine.crk_sym``: the boundary diagonal C_rr from
+    the parts-1-and-2 partitions, then C_{r,r+2i} by convolving lower
+    diagonal values with ordinary Bell polynomials of the shifted symbols
+    Lbar_m = L_{m+2}."""
+    if r == 0:
+        return LPoly.one() if k == 0 else LPoly.zero()
+    if k < r or k > 3 * r or (k - r) % 2:
+        return LPoly.zero()
+
+    def c_diag(j):
+        if j == 0:
+            return LPoly.one()
+        out = LPoly()
+        for i in range(0, j // 2 + 1):
+            exp = {}
+            if j - 2 * i:
+                exp[1] = j - 2 * i
+            if i:
+                exp[2] = i
+            out = out + LPoly.monomial(Partition(exp))
+        return out
+
+    i = (k - r) // 2
+    if i == 0:
+        return c_diag(r)
+    lbar = Seq([LPoly.monomial(Partition.of(m + 2)) for m in range(1, r + 1)])
+    total = LPoly.zero()
+    for j in range(0, r - i + 1):
+        b = partial_ordinary_bell(r - j, i, lbar)
+        if isinstance(b, int):
+            continue
+        total = total + (c_diag(j) * b).exact_div(math.factorial(i))
+    return total
+
+
+# ---------------------------------------------------------------------------
 # exact reference quantile for half the log of an F ratio
 # ---------------------------------------------------------------------------
 
@@ -136,8 +177,6 @@ def lnF_cdf(n1, n2, z):
 def exact_lnF_quantile(n1, n2, p):
     """The p-quantile of (1/2) ln F_{n1,n2}, from the inverse regularized
     incomplete beta, to ~1e-12."""
-    if not 0.0 < p < 1.0:
-        raise basedist.DomainError(f"probability {p} not in (0, 1)")
     u = basedist.inv_reg_inc_beta(n1 / 2.0, n2 / 2.0, p)
     q = n2 * u / (n1 * (1.0 - u))
     return 0.5 * math.log(q)

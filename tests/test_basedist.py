@@ -22,6 +22,10 @@ def test_normal_cdf_inv_roundtrip():
 def test_normal_inv_against_scipy():
     for p in (0.95, 0.5, 0.025, 1e-5):
         assert abs(basedist.normal_inv_cdf(p) - scipy.stats.norm.ppf(p)) < 1e-12
+    # below about 1e-308 the Halley step would overflow: the seed answers
+    for p in (5e-324, 1e-320, 2.2e-311):
+        ref = scipy.special.ndtri(p)
+        assert abs(basedist.normal_inv_cdf(p) - ref) <= 2e-9 * abs(ref), p
 
 
 def test_gamma_cdf_against_scipy_and_quadrature():
@@ -53,6 +57,29 @@ def test_beta_against_scipy():
             assert abs(basedist.reg_inc_beta(a, b, u) - p) <= 1e-12
 
 
+def test_inverses_relative_accuracy_at_small_p():
+    # relative, not the round trips' absolute residual: at p = 1e-17 a
+    # residual below 1e-16 holds anywhere near 0.  (shapes, right at 1e-8
+    # and 1e-10): every answer is within 1e-8 or a NumericError
+    gamma = [((0.5,), True), ((3.0,), True), ((48.0,), True), ((1000.0,), True),
+             ((1.5,), False)]
+    beta = [((12.0, 30.0), True), ((30.0, 12.0), True), ((2.0, 5.0), True),
+            ((0.5, 0.5), False)]
+    cases = ([(basedist.inv_reg_inc_gamma, scipy.special.gammaincinv, *c)
+              for c in gamma]
+             + [(basedist.inv_reg_inc_beta, scipy.special.betaincinv, *c)
+                for c in beta])
+    for inv, ref, shapes, right in cases:
+        for p in (1e-8, 1e-10, 1e-12, 1e-16, 1e-17, 1e-30, 1e-100, 1e-310):
+            try:
+                got = inv(*shapes, p)
+            except basedist.NumericError:
+                assert not (right and p >= 1e-10), (shapes, p)
+                continue
+            assert got == pytest.approx(ref(*shapes, p), rel=1e-8, abs=0), \
+                (shapes, p)
+
+
 def test_domain_errors():
     with pytest.raises(basedist.DomainError):
         basedist.normal_inv_cdf(0.0)
@@ -66,6 +93,11 @@ def test_domain_errors():
         basedist.gamma(2.0).a_seq(-0.3, 4)  # singular side, never clamped
     with pytest.raises(basedist.DomainError):
         basedist.affine(basedist.gamma(2.0), 0.0, 1.0).h_seq(-0.5, 4)
+    # the density is 0 off the support; at its boundary the corrections
+    # are singular, so there is no value to give
+    assert basedist.gamma(2.0).pdf(-0.5) == 0.0
+    with pytest.raises(basedist.DomainError):
+        basedist.gamma(2.0).pdf(0.0)
 
 
 def test_normal_sequences():

@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cfx import cli
 
@@ -206,7 +206,7 @@ STUDENTIZED = ["--model", "studentized_mean", "--nu3", "2", "--nu4", "9",
                "--nu5", "44", "--x", "1.0", "--order", "2"]
 
 
-@pytest.mark.parametrize("n", ["0", "-5", "abc"])
+@pytest.mark.parametrize("n", ["0", "-5", "abc", "1e400", "1e-400", "5e-324"])
 def test_bad_sample_size(n, capsys):
     assert_config_error(["cdf", *STUDENTIZED, "--n", n], capsys)
 
@@ -236,6 +236,18 @@ def test_non_finite_x(command, x, capsys):
 
 
 LNF_JSON = '{"model": "lnF", "n1": 24, "n2": 60}'
+MU_EXP = {"2": 1, "3": 2, "4": 9, "5": 44, "6": 265, "7": 1854, "8": 14833,
+          "10": 1334961}  # the standardized exponential population
+# (flags, the same model as JSON, the sample-size parameter, an order the
+# model covers)
+MODEL_FORMS = [
+    (["--model", "lnF", "--n1", "24", "--n2", "60"], LNF_JSON, "240/7", "3"),
+    (["--model", "studentized_mean", "--nu3", "2", "--nu4", "9", "--nu5", "44"],
+     '{"model": "studentized_mean", "nu3": 2, "nu4": "9", "nu5": 44}', "200", "2"),
+    (["--model", "sample_variance", "--mu", *(f"{r}={v}" for r, v in MU_EXP.items())],
+     json.dumps({"model": "sample_variance", "mu": MU_EXP}), "200", "3"),
+    (["--model", "gamma"], '{"model": "gamma"}', "7", "3"),
+]
 
 
 @pytest.mark.parametrize("question", [["quantile", "--p", "0.95"],
@@ -243,18 +255,17 @@ LNF_JSON = '{"model": "lnF", "n1": 24, "n2": 60}'
                                       ["density", "--x", "0.5"]])
 @pytest.mark.parametrize("base", ["normal", "gamma"])
 def test_model_json_answers_as_the_flags(question, base, capsys):
-    # lnF's sample size, exact column and sampler come from the model,
-    # whichever form names it
-    tail = ["--order", "3", "--base", base, "--format", "json"]
-    code, flags = run_capture([question[0], "--model", "lnF", "--n1", "24",
-                               "--n2", "60", *question[1:], *tail], capsys)
-    assert code == 0
-    code, js = run_capture([question[0], "--model-json", LNF_JSON,
-                            *question[1:], *tail], capsys)
-    assert code == 0 and js == flags
-    code, same_n = run_capture([question[0], "--model-json", LNF_JSON,
-                                "--n", "240/7", *question[1:], *tail], capsys)
-    assert code == 0 and same_n == flags
+    # the flags are read as the JSON config is; lnF's sample size, exact
+    # column and sampler come from the model, whichever form names it
+    for flags, model_json, n, order in MODEL_FORMS:
+        forms = [[*flags, "--n", n], ["--model-json", model_json, "--n", n]]
+        if flags[1] == "lnF":
+            forms += [flags, ["--model-json", model_json]]
+        tail = [*question[1:], "--order", order, "--base", base, "--format", "json"]
+        answers = [run_capture([question[0], *form, *tail], capsys)
+                   for form in forms]
+        assert answers[0][0] == 0, flags
+        assert all(answer == answers[0] for answer in answers), flags
 
 
 @pytest.mark.parametrize("model", [["--model", "lnF", "--n1", "24", "--n2", "60"],
@@ -309,6 +320,8 @@ edge_floats = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
+@example(command="quantile", model=FUZZ_MODELS[0], base="normal", order=0,
+         arg=2.225073858507e-311, i=0)  # exp(x^2/2) overflowed in Halley's step
 @given(command=st.sampled_from(["quantile", "cdf", "density"]),
        model=st.sampled_from(FUZZ_MODELS),
        base=st.sampled_from(["normal", "gamma"]),

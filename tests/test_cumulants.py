@@ -66,11 +66,44 @@ def test_lnF_against_polygamma():
         assert abs(approx - exact) < 1e-12 * max(1, abs(exact)), r
 
 
+def lnF_gamma_param(n1, n2):
+    """The statistic of ``cm.model_lnF`` rescaled to ln F = 2 Z, built
+    independently through the gamma shapes m_i = n_i/2 with
+    n = m1 m2/(m1 + m2)."""
+    m1, m2 = F(n1, 2), F(n2, 2)
+    n = m1 * m2 / (m1 + m2)
+    g1, g2 = n / m1, n / m2
+    imax = cm._LNF_IMAX
+    entries = {}
+    defined = set()
+    for r in range(1, cm._LNF_RMAX + 1):
+        for i in range(max(0, r - 1), imax + 1):
+            defined.add((r, i))
+        sgn = (-1) ** r
+        entries[(r, r)] = F(math.factorial(r - 1), 2) * (g2 ** r + sgn * g1 ** r)
+        j = 0
+        while 2 * j + r - 1 <= imax:
+            i = 2 * j + r - 1
+            if j == 0:
+                if r >= 2:
+                    entries[(r, i)] = (entries.get((r, i), 0) + math.factorial(r - 2)
+                                       * (g2 ** i + sgn * g1 ** i))
+            else:
+                coeff = ((-1) ** (j - 1) * abs(cm.bernoulli(2 * j))
+                         * F(math.factorial(2 * j + r - 2), math.factorial(2 * j)))
+                entries[(r, i)] = (entries.get((r, i), 0)
+                                   + coeff * (g2 ** i + sgn * g1 ** i))
+            j += 1
+    entries = {k: v for k, v in entries.items() if v}
+    return cm.CumulantTable(F(0), F(1), entries, defined,
+                            label=f"lnF-gamma({n1},{n2})")
+
+
 def test_lnF_parameterization_consistency():
     # the gamma-shape parameterization of the doubled statistic must agree
     # with the half-log-F table under a_{ri} -> 2^r 4^{-i} a_{ri}, exactly
     t = lnf()
-    tg = cm.model_lnF_gamma_param(24, 60)
+    tg = lnF_gamma_param(24, 60)
     for (r, i), v in t.entries.items():
         assert tg.get(r, i) == F(2) ** r * F(1, 4) ** i * v, (r, i)
 
@@ -181,6 +214,9 @@ def test_d_coeffs():
 
 def test_jk_adjust_identities():
     A = cm.standardize(lnf())
+    for (J, K) in [(-1, 1), (0, 0)]:  # the one check of the truncation orders
+        with pytest.raises(cm.ModelError):
+            cm.jk_adjust(A, J, K)
     for (J, K) in [(0, 2), (1, 2), (2, 3), (3, 4)]:
         Aj = cm.jk_adjust(A, J, K)
         for r in range(2, 7):

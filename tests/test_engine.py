@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from cfx import basedist, cumulants, engine, hbasis
+from cfx import basedist, cumulants, engine, hbasis, oracle
 from cfx.hpoly import Poly
 from cfx.partitions import Partition
 
@@ -95,7 +95,7 @@ def test_exact_division_raises_on_remainder():
 def test_crk_two_paths_agree():
     for r in range(1, 7):
         for k in range(r, 3 * r + 1):
-            assert engine.crk_sym(r, k) == engine.crk_recurrence(r, k), (r, k)
+            assert engine.crk_sym(r, k) == oracle.crk_recurrence(r, k), (r, k)
 
 
 def test_crk_spot_values():
@@ -288,6 +288,24 @@ def test_order_guard():
             call(engine.MAX_ORDER + 1)
     with pytest.raises(engine.OrderError):
         engine.cdf_expand(ctx, 0.5, -1)
+    # the tables start at order 1; the density's derivative order at 0
+    for call in (engine.h_formal, lambda r: engine.crk(r, 3),
+                 lambda r: engine.fg_formal("g", r),
+                 lambda r: engine.fg_formal("f", r)):
+        with pytest.raises(engine.OrderError):
+            call(0)
+    with pytest.raises(engine.OrderError):
+        engine.density_expand(ctx, 0.5, -1, 2)
+
+
+@pytest.mark.parametrize("n", [0, -5, math.nan, math.inf, F(10 ** 400),
+                               F(1, 10 ** 400), 5e-324])
+@pytest.mark.parametrize("constructor", ["raw", "matched_gamma"])
+def test_bad_sample_size_is_a_model_error(constructor, n):
+    # checked before any arithmetic, whoever calls
+    table = cumulants.model_studentized_mean(F(2), F(9), F(44))
+    with pytest.raises(cumulants.ModelError, match="sample-size"):
+        getattr(engine.ExpansionContext, constructor)(table, n)
 
 
 def test_missing_coefficient_is_named():

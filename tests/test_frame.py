@@ -150,3 +150,19 @@ def test_bases_agree_with_simulation(table, spec, n, order):
         a, b = raw.cdf(x, order)["value"], gamma.cdf(x, order)["value"]
         assert abs(a - b) <= 3 * se, (x, a, b, se)
         assert abs(a - est) <= 3 * se and abs(b - est) <= 3 * se, (x, a, b, est, se)
+
+
+@pytest.mark.parametrize("model, y, value", [((24, 60), 20.0, 1.0),
+                                              ((60, 24), -20.0, 0.0)])
+def test_off_support_points(model, y, value):
+    # where the base density is 0 every correction is 0: the cdf is the
+    # base cdf and the density vanishes; no H-value is evaluated (at these
+    # y the gamma base variable is about -87.6, off its support)
+    gamma = context(model, "gamma")
+    res = gamma.cdf(y, 4)
+    assert res["value"] == res["base"] == value and not any(res["terms"])
+    assert gamma.density(y, 1, 4)["value"] == 0.0
+    normal = context(model, "normal")
+    for far in (1e300, -1e300):
+        assert normal.cdf(far, 4)["value"] == (far > 0)
+        assert normal.density(far, 2, 4)["value"] == 0.0
