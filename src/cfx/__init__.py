@@ -11,13 +11,13 @@ evaluates those tables for concrete cumulant models and base distributions.
 
 from .hpoly import Poly
 from .bell import Seq, partial_ordinary_bell, ordinary_bell_b, exponential_bell, complete_bell
-from .partitions import Partition, s_weight, hset, bracket, LSeries, bracket_series_coeff
+from .partitions import Partition, s_weight, hset, bracket_series_coeff
 from . import hbasis, basedist, cumulants, engine, oracle
 
 __all__ = [
     "Poly", "Seq",
     "partial_ordinary_bell", "ordinary_bell_b", "exponential_bell", "complete_bell",
-    "Partition", "s_weight", "hset", "bracket", "LSeries", "bracket_series_coeff",
+    "Partition", "s_weight", "hset", "bracket_series_coeff",
     "hbasis", "basedist", "cumulants", "engine", "oracle",
 ]
 

@@ -110,7 +110,7 @@ def _gamma_p_series(a, x):
 def _gamma_q_contfrac(a, x):
     b = x + 1.0 - a
     c = 1.0 / _FPMIN
-    d = 1.0 / b
+    d = 1.0 / (b if abs(b) >= _FPMIN else _FPMIN)
     h = d
     for i in range(1, _MAX_ITER):
         an = -i * (i - a)
@@ -481,16 +481,6 @@ def affine(inner, mu, sigma):
     return AffineBase(inner, mu, sigma)
 
 
-def jk_affine_params(m, s1, s2):
-    """The (mu, sigma) of the standardized-gamma affine map:
-    sigma = sqrt(m/s2), mu = m - s1*sigma."""
-    if m <= 0 or s2 <= 0:
-        raise DomainError(f"need m > 0 and s2 > 0, got m={m}, s2={s2}")
-    sigma = math.sqrt(m / s2)
-    return m - s1 * sigma, sigma
-
-
 def standardized_gamma(m):
     """The base X = (G - m)/sqrt(m) used by the skew-matched pipeline."""
-    mu, sigma = jk_affine_params(m, 0.0, 1.0)
-    return AffineBase(GammaBase(m), mu, sigma)
+    return AffineBase(GammaBase(m), m, math.sqrt(m))

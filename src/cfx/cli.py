@@ -97,6 +97,9 @@ def _question(args):
     n = _model_n(args, table)
     if args.base == "gamma":
         ctx = engine.ExpansionContext.matched_gamma(table, n, J=args.J, K=args.K)
+    elif (args.J, args.K) != (1, 1):
+        raise ConfigError("--J and --K truncate the gamma base's mean and "
+                          "variance series; use them with --base gamma")
     else:
         ctx = engine.ExpansionContext.raw(table, n)
     return cfg, table, ctx
@@ -280,7 +283,7 @@ def run_validation(deep=False):
         g3[Partition.of(3, 4)]))
 
     # recurrence cross-check
-    ok = all(engine.crk_sym(r, k) == oracle.crk_recurrence(r, k)
+    ok = all(engine.crk(r, k) == oracle.crk_recurrence(r, k)
              for r in range(1, 6) for k in range(r, 3 * r + 1))
     checks.append({"check": "C_rk partition path == recurrence path",
                    "expected": True, "got": ok, "tolerance": 0, "pass": ok})
@@ -337,7 +340,6 @@ def _add_model_args(sp):
     sp.add_argument("--K", type=int, default=1, help="variance-series truncation")
     sp.add_argument("--order", type=int, default=4, help="truncation order R")
     sp.add_argument("--format", choices=["table", "json"], default="table")
-    sp.add_argument("--seed", type=int, default=0)
 
 
 def build_parser():
@@ -359,6 +361,8 @@ def build_parser():
     c.add_argument("--x", type=float, required=True)
     c.add_argument("--mc", type=int, default=0, metavar="N",
                    help="cross-check against an N-replication simulation")
+    c.add_argument("--seed", type=int, default=0,
+                   help="stream seed of the simulation cross-check")
     c.add_argument("--population", default="standardized_exponential",
                    choices=["standardized_exponential", "normal"],
                    help="sampling population for the simulation cross-check")
@@ -404,7 +408,9 @@ def main(argv=None):
     except (ConfigError, cumulants.ModelError, engine.OrderError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (basedist.DomainError, basedist.NumericError) as e:
+    except (basedist.DomainError, ArithmeticError) as e:
+        # ArithmeticError: NumericError, and any float fault of an
+        # evaluation (ZeroDivisionError, OverflowError)
         print(f"numeric error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -30,7 +30,7 @@ import math
 from . import basedist, cumulants, hbasis
 from .bell import Seq, partial_ordinary_bell
 from .hpoly import LPoly, Poly
-from .partitions import LSeries, bracket, bracket_series_coeff, hset
+from .partitions import bracket_series_coeff, hset
 
 MAX_ORDER = 12
 
@@ -52,28 +52,15 @@ def _check_order(r, lo=0, hi=MAX_ORDER, name="order"):
 # the coefficient tables C_rk and the h / f / g formal expansions
 # ---------------------------------------------------------------------------
 
-def crk_sym(r, k):
-    """The coefficient of H_{k-1} in h_r, as an LPoly: the bracket sum over
-    all weight-r partitions of k (each bracket carries coefficient one)."""
+def crk(r, k):
+    """C_rk, the coefficient of H_{k-1} in h_r, as an LPoly: the bracket sum
+    over all weight-r partitions of k (each bracket carries coefficient
+    one)."""
+    _check_order(r, lo=1)
     out = LPoly()
     for pi in hset(r, k):
         out = out + LPoly.monomial(pi)
     return out
-
-
-def crk(r, k, L=None):
-    """C_rk: symbolic LPoly when L is None, a number for a plain 1-indexed
-    coefficient sequence, or the list of series coefficients for an
-    LSeries."""
-    _check_order(r, lo=1)
-    sym = crk_sym(r, k)
-    if L is None:
-        return sym
-    if isinstance(L, LSeries):
-        return [sum(bracket_series_coeff(pi, L, i) * val.const_value()
-                    for pi, val in sym.terms.items())
-                for i in range(L.order + 1)]
-    return sum(bracket(pi, L) * val.const_value() for pi, val in sym.terms.items())
 
 
 _h_cache = {}
@@ -81,13 +68,12 @@ _fg_cache = {}
 
 
 def h_formal(r):
-    """h_r as an LPoly: sum over weight-r partitions pi of [pi] H_{|pi|-1}."""
+    """h_r as an LPoly: sum_k C_rk H_{k-1}."""
     _check_order(r, lo=1)
     if r not in _h_cache:
         out = LPoly()
         for k in range(r, 3 * r + 1, 2):
-            for pi in hset(r, k):
-                out = out + LPoly.monomial(pi, hbasis.H(k - 1))
+            out = out + crk(r, k) * hbasis.H(k - 1)
         _h_cache[r] = out
     return _h_cache[r]
 
@@ -165,22 +151,34 @@ def export_table_json(kind, r, basis="H"):
 # standardized expansions
 # ---------------------------------------------------------------------------
 
-def e_r_standardized(kind, r, atable):
-    """The order-r standardized expansion polynomial e_r(x), as a Poly in H.
+def _bracket_sum(kind, r, atable):
+    """The terms of the standardized order-r expansion: (i, pi, e(pi), c)
+    for every bracket pi of the order-(r - 2i) formal table, 0 <= i < r/2,
+    with c the n^-i series coefficient of [pi] read from ``atable``."""
+    for i in range(0, (r - 1) // 2 + 1):
+        for pi, val in coefficient_table(kind, r - 2 * i):
+            yield i, pi, val, bracket_series_coeff(pi, atable, i)
 
-    Generic path: e_r = sum_{0 <= i < r/2} e_{r-2i,i} where e_{s,i} collects
-    the n^-i series coefficient of every bracket in the order-s formal
-    table.  A (J, K)-truncated table carries its zero pattern in its values.
-    """
+
+def e_r_standardized(kind, r, atable):
+    """The order-r standardized expansion polynomial e_r(x), as a Poly in H:
+    sum_i e_{r-2i,i}, where e_{s,i} collects the n^-i series coefficient of
+    every bracket in the order-s formal table.  A (J, K)-truncated table
+    carries its zero pattern in its values."""
     _check_order(r)
     total = Poly()
-    for i in range(0, (r - 1) // 2 + 1):
-        s = r - 2 * i
-        for pi, val in coefficient_table(kind, s):
-            c = bracket_series_coeff(pi, atable, i)
-            if c:
-                total = total + val * c
+    for _, _, val, c in _bracket_sum(kind, r, atable):
+        if c:
+            total = total + val * c
     return total
+
+
+def _density_e(r, atable, i):
+    """The order-r density-expansion polynomial: every H_k of the cdf
+    polynomial e_r^h (the constant H_0 included) raised to H_{k+i+1}."""
+    h = e_r_standardized("h", r, atable)
+    return Poly({((mono[0] if mono else 0) + i + 1,): c
+                 for mono, c in h.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -312,28 +310,21 @@ class ExpansionContext:
         return _finite(dict(res, x=y, terms=[t * jacobian for t in res["terms"]],
                             value=res["value"] * jacobian))
 
-    def eval_e(self, kind, r, x, shift=0):
-        poly = (e_r_standardized(kind, r, self.atable) if shift == 0
-                else _density_e(r, self.atable, shift - 1))
-        top = poly.max_index()
-        if top == 0:
-            return float(poly.const_value())
-        hvals = self.base.h_seq(x, top)
-        return float(hbasis.hp_eval(poly, [float(v) for v in hvals]))
-
-
-def _density_e(r, atable, i):
-    """The order-r density-expansion polynomial: every H_k of the cdf
-    polynomial h_r(x) bumped to H_{k+i+1} (the constant terms included)."""
-    total = Poly()
-    for ii in range(0, (r - 1) // 2 + 1):
-        s = r - 2 * ii
-        for k in range(s, 3 * s + 1, 2):
-            for pi in hset(s, k):
-                c = bracket_series_coeff(pi, atable, ii)
-                if c:
-                    total = total + hbasis.H(pi.size + i) * c
-    return total
+    def series_terms(self, polys, x, R, pre):
+        """pre * n^{-r/2} * e_r(x) for r = 1..R, where ``polys(r)`` is the
+        order-r standardized polynomial in H."""
+        nn = float(self.n)
+        terms = []
+        for r in range(1, R + 1):
+            poly = polys(r)
+            top = poly.max_index()
+            if top == 0:
+                er = float(poly.const_value())
+            else:
+                hvals = self.base.h_seq(x, top)
+                er = float(hbasis.hp_eval(poly, [float(v) for v in hvals]))
+            terms.append(pre * nn ** (-r / 2.0) * er)
+        return terms
 
 
 def _finite(res):
@@ -358,13 +349,10 @@ def cdf_expand(ctx, x, R):
         # every correction carries the factor p(x) = 0: no H-value is needed
         return {"x": x, "base": base_value, "terms": [0.0] * R,
                 "value": base_value}
-    nn = float(ctx.n)
-    terms = []
+    terms = ctx.series_terms(
+        lambda r: e_r_standardized("h", r, ctx.atable), x, R, -px)
     total = base_value
-    for r in range(1, R + 1):
-        er = ctx.eval_e("h", r, x)
-        t = -px * nn ** (-r / 2.0) * er
-        terms.append(t)
+    for t in terms:
         total += t
     return {"x": x, "base": base_value, "terms": terms, "value": total}
 
@@ -379,13 +367,12 @@ def quantile_expand(ctx, p, R, exact=None):
     _check_order(R)
     cumulants.validate_for_order(ctx.atable, R)
     x = ctx.base.inv_cdf(p)  # checks 0 < p < 1
-    nn = float(ctx.n)
-    rows = []
     total = ctx.center + ctx.scale * x
-    term = total
-    for r in range(0, R + 1):
+    terms = [total] + ctx.series_terms(
+        lambda r: e_r_standardized("g", r, ctx.atable), x, R, ctx.scale)
+    rows = []
+    for r, term in enumerate(terms):
         if r > 0:
-            term = ctx.scale * nn ** (-r / 2.0) * ctx.eval_e("g", r, x)
             total += term
         row = {"order": r, "term": term, "total": total}
         if exact is not None:
@@ -407,12 +394,10 @@ def density_expand(ctx, x, i, R):
     if not px:
         return {"x": x, "i": i, "terms": [0.0] * (R + 1), "value": 0.0}
     base_term = 1.0 if i == 0 else float(ctx.base.h_seq(x, i)[i - 1])
-    nn = float(ctx.n)
-    terms = [px * base_term]
+    terms = [px * base_term] + ctx.series_terms(
+        lambda r: _density_e(r, ctx.atable, i), x, R, px)
     total = terms[0]
-    for r in range(1, R + 1):
-        t = px * nn ** (-r / 2.0) * ctx.eval_e("h", r, x, shift=i + 1)
-        terms.append(t)
+    for t in terms[1:]:
         total += t
     return {"x": x, "i": i, "terms": terms, "value": total}
 
@@ -463,22 +448,14 @@ def term_count(kind, r, J, K, matched=True, base="general", drop_multi3=False):
         return (1, 0)
     _check_order(r)
     atable = _pattern_atable(J, K, matched)
-    n_count = 0
-    m_count = 0
-    for i in range(0, (r - 1) // 2 + 1):
-        s = r - 2 * i
-        for pi, val in coefficient_table(kind, s):
-            if base == "normal" and not hbasis.normal_specialize(val):
-                continue
-            if i >= 1 and drop_multi3 and pi.contains(3) and pi.num_parts >= 2:
-                continue
-            c = bracket_series_coeff(pi, atable, i)
-            count = len(c.terms) if isinstance(c, Poly) else (1 if c else 0)
-            if i == 0:
-                n_count += count
-            else:
-                m_count += count
-    return (n_count, m_count)
+    counts = [0, 0]
+    for i, pi, val, c in _bracket_sum(kind, r, atable):
+        if base == "normal" and not hbasis.normal_specialize(val):
+            continue
+        if i >= 1 and drop_multi3 and pi.contains(3) and pi.num_parts >= 2:
+            continue
+        counts[i >= 1] += len(c.terms) if isinstance(c, Poly) else (1 if c else 0)
+    return tuple(counts)
 
 
 ROW_SCHEDULE = {0: (0, 1), 1: (1, 1), 2: (1, 2), 3: (2, 2), 4: (2, 3),

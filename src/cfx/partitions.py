@@ -6,11 +6,11 @@ The weight is what assigns a partition to an expansion order; the size is the
 index of the base-polynomial it multiplies.
 
 The bracket [pi] of a partition against a coefficient sequence L is the
-normalized product prod_k L_k^{i_k} / i_k!; ``bracket_series_coeff`` extends
-this to sequences of power series in 1/n and extracts a single series
-coefficient.  It reads the series through one protocol, ``coeff(k, j)`` for
-the n^-j coefficient of L_k, which ``LSeries`` (stored, truncated rows) and
-``cumulants.ATable`` (a model's standardized coefficients) both answer.
+normalized product prod_k L_k^{i_k} / i_k!.  Every L_k is a power series in
+1/n, and ``bracket_series_coeff`` extracts a single series coefficient of
+[pi].  It reads the series through one protocol, ``coeff(k, j)`` for the
+n^-j coefficient of L_k, which ``cumulants.ATable`` (a model's standardized
+coefficients) answers.
 Brackets multiply with integer factors, [pi][rho] =
 ``pi.bracket_factor(rho)`` [pi + rho], which is why the symbolic tables
 written against them have integer coefficients.
@@ -22,7 +22,6 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-from .bell import Seq, SeqLengthError
 
 
 def s_weight(r):
@@ -212,56 +211,6 @@ def _weight_classes(r):
     return {k: tuple(sorted(pis)) for k, pis in by_size.items()}
 
 
-def bracket(pi, L):
-    """[pi] = prod_k L_k^{i_k} / i_k! for a plain coefficient sequence L."""
-    L = L if isinstance(L, Seq) else Seq(L)
-    total = Fraction(1)
-    for part, mult in pi.items():
-        val = L[part]
-        for _ in range(mult):
-            total = total * val
-        total = total * Fraction(1, factorial(mult))
-    return total
-
-
-class TruncationError(ValueError):
-    """A series coefficient beyond the stored truncation was requested."""
-
-
-class LSeries:
-    """Adjusted-cumulant coefficient series: per index r, a truncated power
-    series in 1/n.
-
-    ``rows`` maps r to the list [c_{r,0}, c_{r,1}, ...]; all rows share the
-    truncation ``order`` (inclusive highest power of 1/n), and ``coeff``
-    raises ``TruncationError`` past it.  For standardized estimates the
-    coefficients are c_{r,j} = A_{r, r+j-delta}/r! with delta = 1 for
-    r >= 3, which ``cumulants.ATable.coeff`` answers directly.
-    """
-
-    __slots__ = ("rows", "order")
-
-    def __init__(self, rows, order):
-        self.order = int(order)
-        self.rows = {}
-        for r, coeffs in rows.items():
-            coeffs = list(coeffs)
-            if len(coeffs) < self.order + 1:
-                raise TruncationError(
-                    f"series for index {r} has {len(coeffs)} coefficients, "
-                    f"needs {self.order + 1}"
-                )
-            self.rows[int(r)] = coeffs[: self.order + 1]
-
-    def coeff(self, r, j):
-        if j > self.order:
-            raise TruncationError(f"coefficient n^-{j} beyond truncation {self.order}")
-        try:
-            return self.rows[r][j]
-        except KeyError:
-            raise SeqLengthError(f"no series stored for index {r}") from None
-
-
 def _series_mul(a, b, order):
     out = [0] * (order + 1)
     for i, ai in enumerate(a):
@@ -278,8 +227,7 @@ def bracket_series_coeff(pi, L, i):
     """The n^-i coefficient of [pi] when every L_k is a series in 1/n.
 
     ``L`` is any coefficient series: an object whose ``coeff(k, j)`` is the
-    n^-j coefficient of L_k (an ``LSeries``, or a ``cumulants.ATable``).
-    Multiplies the truncated series prod_k L_k(n)^{i_k}, divides by the
+    n^-j coefficient of L_k, such as a ``cumulants.ATable``.  Multiplies the truncated series prod_k L_k(n)^{i_k}, divides by the
     bracket normalizer, and returns the requested coefficient.
     """
     if i < 0:

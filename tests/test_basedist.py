@@ -182,12 +182,12 @@ def test_affine_scaling():
 
 
 def test_jk_affine_params():
-    assert basedist.jk_affine_params(4.0, 0.0, 1.0) == (4.0, 2.0)
-    assert basedist.jk_affine_params(1.0, 0.5, 1.0) == (0.5, 1.0)
-    with pytest.raises(basedist.DomainError):
-        basedist.jk_affine_params(-1.0, 0.0, 1.0)
-    with pytest.raises(basedist.DomainError):
-        basedist.jk_affine_params(1.0, 0.0, 0.0)
+    # the standardized-gamma frame: mu = m, sigma = sqrt(m)
+    sg = basedist.standardized_gamma(4.0)
+    assert (sg.mu, sg.sigma) == (4.0, 2.0)
+    for m in (-1.0, 0.0):
+        with pytest.raises(basedist.DomainError):
+            basedist.standardized_gamma(m)
 
 
 def test_standardized_gamma_moments():
@@ -245,17 +245,14 @@ def test_gamma_c_function_golden_values():
 
 
 def test_jk_affine_composition_with_gamma_model():
-    # composing with the gamma model's truncated mean/variance sums: the
-    # literal formula receives the bias part and the variance in leading
-    # units, so the pipeline feeds (s1=0, s2=1) and gets the standardized
-    # frame (mu, sigma) = (m, sqrt(m)); the raw sums (1, 1/m) fed literally
-    # would collapse the frame, which is why the pipeline normalizes first
+    # composing with the gamma model's truncated mean/variance sums: they
+    # carry the bias part and the variance in leading units, so the
+    # pipeline expands about the standardized frame (mu, sigma) =
+    # (m, sqrt(m)); the raw sums (1, 1/m) read as a frame would collapse it
     from cfx import cumulants
     m = F(36)
     g = cumulants.model_gamma()
     s1, s2 = cumulants.truncated_mean_var(g, 2, 3, m)
     assert s1 == 1 and s2 == F(1, 36)
-    mu, sigma = basedist.jk_affine_params(36.0, 0.0, 1.0)
-    assert (mu, sigma) == (36.0, 6.0)
     sg = basedist.standardized_gamma(36.0)
     assert sg.mu == 36.0 and sg.sigma == 6.0

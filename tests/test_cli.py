@@ -135,6 +135,28 @@ def test_exit_codes(capsys):
     assert code == cli.EXIT_NUMERIC
     # argparse-level config error
     assert run(["quantile", "--model", "lnF"]) == cli.EXIT_CONFIG
+    # --seed belongs to cdf's simulation cross-check only
+    lnf = ["--model", "lnF", "--n1", "24", "--n2", "60"]
+    assert run(["quantile", *lnf, "--p", "0.9", "--seed", "3"]) == cli.EXIT_CONFIG
+    assert run(["density", *lnf, "--x", "0.5", "--seed", "3"]) == cli.EXIT_CONFIG
+    # --J and --K truncate the gamma base only
+    for flag in ("--J", "--K"):
+        assert run(["cdf", *lnf, "--x", "0.5", flag, "2"]) == cli.EXIT_CONFIG
+        assert run(["cdf", *lnf, "--x", "0.5", flag, "1"]) == cli.EXIT_OK
+        assert run(["cdf", *lnf, "--x", "0.5", flag, "2", "--base", "gamma"]) \
+            == cli.EXIT_OK
+    # float faults at huge n on the gamma base: one line, exit 4
+    huge = ["--model", "studentized_mean", "--nu3", "2", "--nu4", "9",
+            "--nu5", "44", "--base", "gamma", "--order", "2"]
+    capsys.readouterr()
+    for n in ("1e40", "1e100", "1e300"):
+        for question in (["cdf", "--x", "0.5"], ["quantile", "--p", "0.7"]):
+            assert run([question[0], *huge, *question[1:], "--n", n]) \
+                == cli.EXIT_NUMERIC
+    assert run(["density", *huge, "--x", "0.5", "--n", "1e300"]) \
+        == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.count("numeric error: ") == err.count("\n") == 7, err
 
 
 def test_entry_point_subprocess():
@@ -312,6 +334,10 @@ FUZZ_MODELS = [
     ["--model", "gamma", "--n", "7"],
     ["--model-json", '{"model": "custom", "a21": 1, "table": [[3, 2, -2]]}',
      "--n", "20"],
+    ["--model", "studentized_mean", "--nu3", "2", "--nu4", "9", "--nu5", "44",
+     "--n", "1e40"],
+    ["--model", "studentized_mean", "--nu3", "2", "--nu4", "9", "--nu5", "44",
+     "--n", "1e300"],
 ]
 edge_floats = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
@@ -322,6 +348,10 @@ edge_floats = st.one_of(
 @settings(max_examples=60, deadline=None)
 @example(command="quantile", model=FUZZ_MODELS[0], base="normal", order=0,
          arg=2.225073858507e-311, i=0)  # exp(x^2/2) overflowed in Halley's step
+@example(command="cdf", model=FUZZ_MODELS[9], base="gamma", order=2,
+         arg=0.5, i=0)  # the continued fraction's first step divided by 0
+@example(command="density", model=FUZZ_MODELS[10], base="gamma", order=2,
+         arg=0.5, i=0)  # the gamma pdf overflowed at shape 2.5e299
 @given(command=st.sampled_from(["quantile", "cdf", "density"]),
        model=st.sampled_from(FUZZ_MODELS),
        base=st.sampled_from(["normal", "gamma"]),

@@ -95,7 +95,7 @@ def test_exact_division_raises_on_remainder():
 def test_crk_two_paths_agree():
     for r in range(1, 7):
         for k in range(r, 3 * r + 1):
-            assert engine.crk_sym(r, k) == oracle.crk_recurrence(r, k), (r, k)
+            assert engine.crk(r, k) == oracle.crk_recurrence(r, k), (r, k)
 
 
 def test_crk_spot_values():
@@ -109,17 +109,6 @@ def test_crk_spot_values():
         assert dict(top.bracket_items()) == {Partition({3: r}): Poly.const(1)}
     c46 = dict(engine.crk(4, 6).bracket_items())
     assert {p.text() for p in c46} == {"6", "1 5", "1^2 4", "2 4", "1^3 3", "1 2 3"}
-
-
-def test_crk_numeric_and_series():
-    lvals = [F(1, 2), F(3), F(5), F(7), F(2), F(1)]
-    got = engine.crk(2, 4, lvals)
-    assert got == F(7) + F(1, 2) * F(5)
-    from cfx.partitions import LSeries
-    L = LSeries({k: [F(k), F(1)] for k in range(1, 7)}, 1)
-    series = engine.crk(2, 4, L)
-    assert series[0] == F(4) + F(1) * F(3)
-    assert series[1] == F(1) + F(1) * F(3) + F(1) * F(1)
 
 
 def test_fgh_agree_at_order_one():

@@ -1,12 +1,14 @@
 """Golden coefficient tables: the normal-specialized f and g suites, the
 symbolic spot values, and the special normal-base laws."""
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
 
-from cfx import engine, hbasis
+from cfx import cli, engine, hbasis
 from cfx.partitions import Partition
 
 import golden_normal as gn
@@ -276,3 +278,51 @@ TABLE_CASES = (
 def test_table_json_hashes(kind, r, basis, digest):
     doc = json.dumps(engine.export_table_json(kind, r, basis), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+# sha256 of the ``--format json`` stdout of numeric questions: quantile at
+# p = 0.7, cdf at x = -1.3 and the second density derivative at x = 0.4, on
+# both bases.  lnF(24, 60) is asked at R = 4 and lnF(60, 24) at R = 8; the
+# Studentized mean's model stops at order 2.  These pin the float
+# evaluation itself, summation order included, which the symbolic table
+# hashes above cannot see.
+NUMERIC_MODELS = {
+    "lnF24_60": ("4", ["--model", "lnF", "--n1", "24", "--n2", "60"]),
+    "lnF60_24": ("8", ["--model", "lnF", "--n1", "60", "--n2", "24"]),
+    "studentized": ("2", ["--model", "studentized_mean", "--nu3", "2",
+                          "--nu4", "9", "--nu5", "44", "--n", "200"]),
+}
+NUMERIC_QUESTIONS = {"quantile": ["--p", "0.7"], "cdf": ["--x", "-1.3"],
+                     "density": ["--x", "0.4", "--i", "2"]}
+NUMERIC_SHA256 = {
+    ("quantile", "lnF24_60", "normal"): "a8ded43b7b5d0bd50be6c77c76c5a957d0a4e84042e8caed93881265b4c5563a",
+    ("quantile", "lnF24_60", "gamma"): "c04ef6a97647c78b5776def0652ed5c41a353031da5f5568569d9052ecf64b90",
+    ("cdf", "lnF24_60", "normal"): "0e87aa6a31065af81dd2fe34737e60f8b3e3fb43f42cab2b33c7ca251e50ce11",
+    ("cdf", "lnF24_60", "gamma"): "a4b5106111d66558017db49ff72824ea64ceeef9cb5a822a911f0fe77770db1e",
+    ("density", "lnF24_60", "normal"): "8f9e8d816424bb4b3d4eef7584ed70957d7e40a8ce6a80b820b2812f5d0f568f",
+    ("density", "lnF24_60", "gamma"): "5b0b894585c63c618b78d8b35194dae9213283fc9ba19feb55f13a50eff609a1",
+    ("quantile", "lnF60_24", "normal"): "9a1f7686594978dd73d3a35d4bdff5f246fcd65590f4b3c37e884150e1c1fff4",
+    ("quantile", "lnF60_24", "gamma"): "bad8a615f3eab79f02391b1c7e68e22a4192e3c3179dda824b268b6cab9669ed",
+    ("cdf", "lnF60_24", "normal"): "4df9ad50709b58e7e21a60a93499aef65fa11cd2b3a8da4d844cb85a6911aec1",
+    ("cdf", "lnF60_24", "gamma"): "d1832fb23c9b5be0402d6267b35bafb3095bd7a3c6b062dd3352c4960165b66a",
+    ("density", "lnF60_24", "normal"): "eb623d781300730ebc13a6c55782c2f936f7940699f4a3bbd5efb225befab097",
+    ("density", "lnF60_24", "gamma"): "a650de63ddd48ee2f56ca532690236df5d0ded934f53ab0c56b372c7c6246f15",
+    ("quantile", "studentized", "normal"): "15205fd64b4866866472ee9996255f4fc2b9a5274f5d31c7f49a8dfdefb17c52",
+    ("quantile", "studentized", "gamma"): "1f1a0598673258f0c04799d597f820144ca1c59df097dd319d07b56558cf66e0",
+    ("cdf", "studentized", "normal"): "49e8f056821644fe13cc5fe7cefb0a1256b99574484789c2c0b3816958e55aa1",
+    ("cdf", "studentized", "gamma"): "82bfc2cb40f4b795c764d3d113059de603f14c68879cbdd4c88c006197110187",
+    ("density", "studentized", "normal"): "49f89703af541065876c155d0f510c760c752b8eb0c8377e7e6c81c1691c1c63",
+    ("density", "studentized", "gamma"): "36a3fe83e7ab1cb456d421b2b4d5b5dd77ba1d93d20573605f259dc415b925e9",
+}
+
+
+@pytest.mark.parametrize("command, model, base", sorted(NUMERIC_SHA256))
+def test_numeric_json_hashes(command, model, base):
+    order, flags = NUMERIC_MODELS[model]
+    argv = [command, *flags, *NUMERIC_QUESTIONS[command], "--base", base,
+            "--order", order, "--format", "json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == cli.EXIT_OK
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == NUMERIC_SHA256[command, model, base]

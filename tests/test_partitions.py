@@ -4,9 +4,27 @@ from fractions import Fraction as F
 
 import pytest
 
-from cfx.bell import Seq, SeqLengthError
-from cfx.partitions import (LSeries, Partition, TruncationError, bracket,
-                            bracket_series_coeff, hset, partitions_of, s_weight)
+from cfx.partitions import (Partition, bracket_series_coeff, hset,
+                            partitions_of, s_weight)
+
+
+class TruncationError(ValueError):
+    """A series coefficient beyond the stored truncation was requested."""
+
+
+class LSeries:
+    """A fake coefficient series for the ``coeff(k, j)`` protocol: per index
+    r, the stored rows [c_{r,0}, c_{r,1}, ...] of a power series in 1/n,
+    all truncated at ``order`` (the highest power of 1/n, inclusive)."""
+
+    def __init__(self, rows, order):
+        self.rows = rows
+        self.order = order
+
+    def coeff(self, r, j):
+        if j > self.order:
+            raise TruncationError(f"coefficient n^-{j} beyond truncation {self.order}")
+        return self.rows[r][j]
 
 
 def test_s_weight():
@@ -70,16 +88,6 @@ def test_bracket_factor():
     assert a.bracket_factor(Partition.of(2, 4)) == 1
 
 
-def test_bracket():
-    L = Seq([F(0), F(0), F(5)])
-    assert bracket(Partition.of(3, 3), L) == F(25, 2)
-    L2 = Seq([F(2), F(3)])
-    assert bracket(Partition.parse("1^2 2"), L2) == F(4 * 3, 2)
-    assert bracket(Partition.parse("1^3"), L2) == F(8, 6)
-    with pytest.raises(SeqLengthError):
-        bracket(Partition.of(4), L2)
-
-
 def series(rows, order):
     return LSeries(rows, order)
 
@@ -106,9 +114,12 @@ def test_bracket_series_products():
 def test_bracket_series_zero_order_matches_plain_bracket():
     rows = {k: [F(k * k - 2, 3), F(1)] for k in range(1, 7)}
     L = series(rows, 1)
-    lead = Seq([rows[k][0] for k in range(1, 7)])
-    for pi in [Partition.of(1, 1, 2), Partition.of(3, 4), Partition.of(2, 2, 2)]:
-        assert bracket_series_coeff(pi, L, 0) == bracket(pi, lead)
+    lead = {k: rows[k][0] for k in rows}
+    # [pi] = prod_k L_k^{i_k} / i_k! at the leading coefficients
+    assert bracket_series_coeff(Partition.of(1, 1, 2), L, 0) == \
+        lead[1] ** 2 / 2 * lead[2]
+    assert bracket_series_coeff(Partition.of(3, 4), L, 0) == lead[3] * lead[4]
+    assert bracket_series_coeff(Partition.of(2, 2, 2), L, 0) == lead[2] ** 3 / 6
 
 
 def test_truncation_guard():
