@@ -41,6 +41,11 @@ class Seq:
     def __len__(self):
         return len(self._values)
 
+    def extend(self, values):
+        """Append y_{n+1}, y_{n+2}, ...; the cache stays valid, since
+        B^_{rj} reads only y_1..y_{r-j+1}."""
+        self._values.extend(values)
+
     def __getitem__(self, r):
         if r < 1:
             raise SeqLengthError(f"sequence index {r} < 1")

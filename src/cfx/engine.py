@@ -5,7 +5,7 @@ polynomials f_r and inverse quantile-map polynomials g_r, all represented as
 ``hpoly.LPoly`` values: polynomials in the adjusted-cumulant symbols L_1,
 L_2, ... whose coefficients are exact polynomials in the generalized-Hermite
 symbols.  h_r comes from the weighted-partition decomposition; f_r and g_r
-come from the inversion ladder (the c-functions and D-operators of
+come from the inversion ladder (the c-functions and J-operators of
 ``hbasis``) applied to Bell polynomials in the h-sequence.
 
 Standardized layer: substituting each L_k by its power series in 1/n, read
@@ -65,6 +65,9 @@ def crk(r, k):
 
 _h_cache = {}
 _fg_cache = {}
+# (h_1, h_2, ...) grown as orders are asked for; its Bell cache holds every
+# B^_{aj}(h) once per process
+_h_seq = Seq([])
 
 
 def h_formal(r):
@@ -84,9 +87,11 @@ def fg_formal(kind, r):
 
         f_r = sum_k (-1)^{k-1} c_k b_{rk}(h)
         g_r = sum_k (-1)^{k-1} D_k b_{rk}(h)
+            = b_{r1} - J_1(b_{r2} - J_2(b_{r3} - ... - J_{r-1} b_{rr}))
 
-    where the D_k operator acts on the whole symbolic product b_{rk}(h),
-    and b_{rk} = B^_{rk}/k! divides exactly in the bracket basis.
+    where D_k = J_1 ... J_{k-1} acts on the whole symbolic product b_{rk}(h),
+    nested so that g_r takes r - 1 J passes, and b_{rk} = B^_{rk}/k! divides
+    exactly in the bracket basis.
     """
     if kind == "h":
         return h_formal(r)
@@ -95,15 +100,18 @@ def fg_formal(kind, r):
     _check_order(r, lo=1)
     key = (kind, r)
     if key not in _fg_cache:
-        hs = Seq([h_formal(j) for j in range(1, r + 1)])
-        total = LPoly.zero()
-        for k in range(1, r + 1):
-            b = partial_ordinary_bell(r, k, hs).exact_div(math.factorial(k))
-            sign = 1 if (k - 1) % 2 == 0 else -1
-            if kind == "f":
-                total = total + b * hbasis.c_function(k) * sign
-            else:
-                total = total + b.map_values(lambda p, kk=k: hbasis.apply_Dk(kk, p)) * sign
+        _h_seq.extend(h_formal(j) for j in range(len(_h_seq) + 1, r + 1))
+        bs = [partial_ordinary_bell(r, k, _h_seq).exact_div(math.factorial(k))
+              for k in range(1, r + 1)]
+        if kind == "f":
+            total = LPoly.zero()
+            for k, b in enumerate(bs, 1):
+                total = total + b * hbasis.c_function(k) * (-1) ** (k - 1)
+        else:
+            total = bs[-1]
+            for k in range(r - 1, 0, -1):
+                total = bs[k - 1] - total.map_values(
+                    lambda p, m=k: hbasis.apply_J(m, p))
         _fg_cache[key] = total
     return _fg_cache[key]
 

@@ -111,18 +111,9 @@ def c_function(k):
 
 
 def apply_J(m, p):
-    """J_m p = m H_1 p - D p."""
+    """J_m p = m H_1 p - D p, the factor of every inversion operator
+    D_k = J_1 ... J_{k-1}."""
     return _h1_plus_d(p, m, -1)
-
-
-def apply_Dk(k, p):
-    """The inversion operators: D_1 = identity, D_k = J_1 ... J_{k-1} with
-    J_{k-1} acting first (innermost) and J_1 last."""
-    if k < 1:
-        raise ValueError("D index must be >= 1")
-    for m in range(k - 1, 0, -1):
-        p = apply_J(m, p)
-    return p
 
 
 def hermite_derivative(r, k):

@@ -42,6 +42,24 @@ def test_length_guard():
         y[3]
 
 
+def test_extend_keeps_cached_rows_valid():
+    # B^_{rj} reads only y_1..y_{r-j+1}, so rows cached before the sequence
+    # grew stay right, and the rows read afterwards see the new values
+    full = ys(8)
+    y = Seq([full[k] for k in range(1, 4)])
+    early = {(r, j): bell.partial_ordinary_bell(r, j, y)
+             for r in range(1, 4) for j in range(1, r + 1)}
+    y.extend(full[k] for k in range(4, 9))
+    assert len(y) == 8
+    fresh = ys(8)
+    for r in range(1, 9):
+        for j in range(1, r + 1):
+            assert bell.partial_ordinary_bell(r, j, y) \
+                == bell.partial_ordinary_bell(r, j, fresh), (r, j)
+    for (r, j), val in early.items():
+        assert val == bell.partial_ordinary_bell(r, j, fresh), (r, j)
+
+
 rational = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 

@@ -1,9 +1,14 @@
 """The expansion core: formal tables, standardized evaluation, redundancy
 checks, term counting, and the end-user expansions."""
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +20,7 @@ from cfx.partitions import Partition
 import _engine_routes as routes
 
 H = hbasis.H
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +129,38 @@ def test_f4_assembles_from_bell_terms():
             + h[0] * h[0] * h[1] * hbasis.c_function(3) * F(1, 2)
             - h[0] * h[0] * h[0] * h[0] * hbasis.c_function(4) * F(1, 24))
     assert engine.fg_formal("f", 4) == want
+
+
+_BUILD_IN_ORDER = """
+import contextlib, io, json, sys
+from cfx import cli, engine
+for kind, r in json.loads(sys.argv[1]):
+    engine.fg_formal(kind, r)
+for kind in ("f", "g"):
+    print(json.dumps(engine.export_table_json(kind, 8), sort_keys=True))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["quantile", "--model", "lnF", "--n1", "24", "--n2", "60",
+                     "--p", "0.95", "--order", "8", "--format", "json"])
+print(code, out.getvalue())
+"""
+
+
+def test_build_order_does_not_change_tables():
+    # the Bell table over (h_1, h_2, ...) is shared by every order and both
+    # kinds; rows read before the sequence grew must not go stale
+    def run(order):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", _BUILD_IN_ORDER,
+                               json.dumps(order)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+    ascending = [(kind, r) for kind in ("g", "f") for r in range(1, 9)]
+    shuffled = [("f", 8), ("g", 8)] + [("g", r) for r in range(1, 8)]
+    want = run(ascending)
+    assert want.splitlines()[2].startswith("0 {")
+    assert run(shuffled) == want
 
 
 def test_structural_zero_laws():

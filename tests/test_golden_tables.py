@@ -197,7 +197,9 @@ def test_weight_sets_match_partition_classes():
         assert g_keys == want_g
 
 
-# sha256 of the sorted-key JSON of every h, f and g table through order 8
+# sha256 of the sorted-key JSON of every h, f and g table through order 8,
+# and of f and g at orders 9 and 10, where nesting the J passes of g and
+# sharing one Bell table change the build most (taken from the unnested one)
 TABLE_SHA256 = {
     ("h", 1): "0064a6a8e72577147b363f1d06bc8b0b6d94c5485485d0b5ea68b95c0198b0ed",
     ("h", 2): "6f2a55d1922de2a64c1b04e4f6b35fd11d65b221f8fd4e6b2020a2165fbeb7c3",
@@ -223,6 +225,10 @@ TABLE_SHA256 = {
     ("g", 6): "4a20ab0ebab915a437cecbbe1f14c774b8427f934c18571ecb40e95a2c18d66f",
     ("g", 7): "38c1630fe14e59b80ebbcc47c79c8d9f0cb1aaab27ca3960bd1fd0c01a2f020c",
     ("g", 8): "443eceda07b1a3995b9307e462c96b2a3573cfa7188e07972563e13ae6652b4e",
+    ("f", 9): "d49002ab7e3cad6f4357af2daea98ae68e481508ed90d7ba941fa9d059e6f177",
+    ("f", 10): "3490260604728406d48f0f1a60358273c77f8b70cdd9d64db8697883412f8f92",
+    ("g", 9): "5fed25f97d252aecb62913bb63f324361cc518d60753b2d170faa96a8f92575d",
+    ("g", 10): "7a41cd4d25167bfe621a76b72b87afe50af300009d8bb5eac263e4f6db717fbd",
 }
 
 

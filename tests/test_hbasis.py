@@ -7,8 +7,8 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from cfx import basedist, bell, hbasis
-from cfx.hpoly import Poly
+from cfx import basedist, bell, engine, hbasis
+from cfx.hpoly import LPoly, Poly
 
 H = hbasis.H
 a = hbasis.a_sym
@@ -70,13 +70,35 @@ def test_c_function_coefficient_laws():
             assert c.coefficient((1,) * (r - 2) + (2,)) == -F((r - 1) * ddf(r), 3)
 
 
+def apply_Dk(k, p):
+    """The inversion operators: D_1 = identity, D_k = J_1 ... J_{k-1} with
+    J_{k-1} acting first (innermost) and J_1 last."""
+    if k < 1:
+        raise ValueError("D index must be >= 1")
+    for m in range(k - 1, 0, -1):
+        p = hbasis.apply_J(m, p)
+    return p
+
+
 def test_inversion_operators():
     p = H(1) * H(2)
-    assert hbasis.apply_Dk(1, p) == p
-    assert hbasis.apply_Dk(2, Poly.const(1)) == H(1)
-    assert hbasis.apply_Dk(2, H(1)) == H(2)
+    assert apply_Dk(1, p) == p
+    assert apply_Dk(2, Poly.const(1)) == H(1)
+    assert apply_Dk(2, H(1)) == H(2)
     # D3 1 = J1 J2 1 = J1(2 H1) = 2H1^2 - 2(H1^2 - H2) = 2 H2
-    assert hbasis.apply_Dk(3, Poly.const(1)) == 2 * H(2)
+    assert apply_Dk(3, Poly.const(1)) == 2 * H(2)
+
+
+def test_nested_g_matches_literal_ladder():
+    # engine.fg_formal nests the J passes; the paper's form applies each D_k
+    # to its own Bell term, over a sequence of h built afresh here
+    for r in range(1, 8):
+        hs = bell.Seq([engine.h_formal(j) for j in range(1, r + 1)])
+        want = LPoly.zero()
+        for k in range(1, r + 1):
+            b = bell.partial_ordinary_bell(r, k, hs).exact_div(factorial(k))
+            want = want + b.map_values(lambda p, k=k: apply_Dk(k, p)) * (-1) ** (k - 1)
+        assert engine.fg_formal("g", r) == want, r
 
 
 def test_hermite_derivative_vs_iterated_diff():
