@@ -10,13 +10,12 @@ evaluates those tables for concrete cumulant models and base distributions.
 """
 
 from .hpoly import Poly
-from .bell import Seq, partial_ordinary_bell, ordinary_bell_b, exponential_bell, complete_bell
+from .bell import Seq, partial_ordinary_bell
 from .partitions import Partition, s_weight, hset, bracket_series_coeff
 from . import hbasis, basedist, cumulants, engine, oracle
 
 __all__ = [
-    "Poly", "Seq",
-    "partial_ordinary_bell", "ordinary_bell_b", "exponential_bell", "complete_bell",
+    "Poly", "Seq", "partial_ordinary_bell",
     "Partition", "s_weight", "hset", "bracket_series_coeff",
     "hbasis", "basedist", "cumulants", "engine", "oracle",
 ]

@@ -310,30 +310,7 @@ def falling_factorial(alpha, j):
 # base distributions
 # ---------------------------------------------------------------------------
 
-class BaseDistribution:
-    """Common interface: pdf, cdf, inv_cdf, a_seq, h_seq."""
-
-    kind = "abstract"
-
-    def pdf(self, x):
-        raise NotImplementedError
-
-    def cdf(self, x):
-        raise NotImplementedError
-
-    def inv_cdf(self, p):
-        raise NotImplementedError
-
-    def a_seq(self, x, rmax):
-        """[a_1(x), ..., a_rmax(x)], derivatives of -ln pdf."""
-        raise NotImplementedError
-
-    def h_seq(self, x, rmax):
-        """[H_1(x), ..., H_rmax(x)] generalized Hermite values."""
-        raise NotImplementedError
-
-
-class NormalBase(BaseDistribution):
+class NormalBase:
     kind = "normal"
 
     def pdf(self, x):
@@ -373,7 +350,7 @@ class NormalBase(BaseDistribution):
         return "NormalBase()"
 
 
-class GammaBase(BaseDistribution):
+class GammaBase:
     """Gamma with mean m (shape m, unit rate), density y^{m-1} e^{-y}/Gamma(m)
     on (0, inf)."""
 
@@ -433,7 +410,7 @@ class GammaBase(BaseDistribution):
         return f"GammaBase(m={self.m})"
 
 
-class AffineBase(BaseDistribution):
+class AffineBase:
     """X = (Y - mu)/sigma for an inner base Y; sigma > 0."""
 
     kind = "affine"

@@ -1,23 +1,17 @@
-"""Ordinary (partial), exponential, and complete Bell polynomials.
-
-Everything here is generic over the coefficient ring: sequences may hold
-Fractions, floats, or polynomial objects, and the same recurrences serve the
-exact symbolic layer and the floating-point layer.  ``partial_ordinary_bell``
-needs only ``+`` and ``*`` of its values.  The normalized and exponential
-variants divide by integer factorials through multiplication by
-``Fraction``; the bracket-basis h/f/g tables do not use them, and instead
-divide B^_{rk} by k! exactly in the integers (``hpoly.SparseMap.exact_div``).
+"""Coefficient sequences and the partial ordinary Bell recurrence.
 
 The ordinary partial Bell polynomial B^_{rj}(y) is the coefficient of t^r in
-S(t)^j for S(t) = sum_{r>=1} y_r t^r.  ``ordinary_bell_b`` is the partition
-normalized variant b_{rj} = B^_{rj}/j!, ``exponential_bell`` rescales to the
-exponential convention, and ``complete_bell`` sums a full row.
+S(t)^j for S(t) = sum_{r>=1} y_r t^r.  The recurrence is generic over the
+coefficient ring and needs only ``+`` and ``*`` of its values: sequences may
+hold Fractions, floats, or polynomial objects, so one routine serves the
+exact symbolic layer and the floating-point layer.  The bracket-basis h/f/g
+tables divide B^_{rk} by k! exactly in the integers
+(``hpoly.SparseMap.exact_div``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 class SeqLengthError(LookupError):
     """A sequence index beyond the stored coefficients was requested."""
@@ -102,42 +96,3 @@ def _partial(r, j, y):
         val = total
     y._cache[key] = val
     return val
-
-
-def ordinary_bell_b(r, j, y):
-    """b_{rj}(y) = B^_{rj}(y)/j!: the sum of partition brackets of size r in
-    j parts."""
-    val = partial_ordinary_bell(r, j, y)
-    if isinstance(val, int) and val == 0:
-        return 0
-    return val * Fraction(1, factorial(j))
-
-
-def exponential_bell(r, j, x):
-    """Exponential partial Bell polynomial B_{rj}(x) = r! b_{rj}(y) at
-    y_k = x_k / k!."""
-    if r < 0 or j < 0:
-        raise ValueError("orders must be nonnegative")
-    if j == 0:
-        return 1 if r == 0 else 0
-    if r < j:
-        return 0
-    x = _as_seq(x)
-    y = Seq([x[k] * Fraction(1, factorial(k)) for k in range(1, r - j + 2)])
-    return ordinary_bell_b(r, j, y) * factorial(r)
-
-
-def complete_bell(r, x):
-    """Complete exponential Bell polynomial B_r(x) = sum_i B_{ri}(x);
-    B_0 = 1."""
-    if r < 0:
-        raise ValueError("order must be nonnegative")
-    if r == 0:
-        return 1
-    x = _as_seq(x)
-    if len(x) < r:
-        raise SeqLengthError(f"B_{r} needs {r} coefficients, have {len(x)}")
-    total = 0
-    for i in range(1, r + 1):
-        total = total + exponential_bell(r, i, x)
-    return total

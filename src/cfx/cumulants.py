@@ -260,10 +260,6 @@ class JKAdjustedTable(_LazyATable):
         return sum((ds[i - j] * src.get(r, j) for j in range(r - 1, i + 1)), 0)
 
 
-def jk_adjust(atable, J, K):
-    return JKAdjustedTable(atable, J, K)
-
-
 def match_tau(a_theta, a_w):
     """The scale ratio making the skewness coefficients cancel:
     tau = (A_32w/A_32theta)^2."""
@@ -307,10 +303,6 @@ class DiffTable(_LazyATable):
         else:
             scale = 1 / (self.tau_sqrt ** (-power))
         return t - scale * w
-
-
-def diff_coeffs(a_theta_jk, a_w_jk, tau, matched_skew=False):
-    return DiffTable(a_theta_jk, a_w_jk, tau, matched_skew)
 
 
 def truncated_mean_var(table, J, K, n):
@@ -390,11 +382,6 @@ def model_gamma():
                for i in range(r - 1, 3 * _GAMMA_RMAX)}
     return CumulantTable(Fraction(1), Fraction(1), entries, defined,
                          label="gamma")
-
-
-def gamma_standardized_cumulant(m, r):
-    """kappa_r of (G - m)/sqrt(m): (r-1)! m^{1-r/2}."""
-    return factorial(r - 1) * float(m) ** (1 - r / 2)
 
 
 def model_sample_variance(mu):
@@ -500,9 +487,9 @@ def model_from_config(cfg):
 def _model_from_fields(cfg):
     kind = cfg.get("model")
     if kind == "lnF":
-        return model_lnF(int(cfg["n1"]), int(cfg["n2"]))
+        return model_lnF(_int(cfg["n1"]), _int(cfg["n2"]))
     if kind == "sample_variance":
-        mu = {int(k): _num(v) for k, v in cfg["mu"].items()}
+        mu = {_int(k): _num(v) for k, v in cfg["mu"].items()}
         return model_sample_variance(mu)
     if kind == "studentized_mean":
         return model_studentized_mean(_num(cfg["nu3"]), _num(cfg.get("nu4")),
@@ -510,11 +497,23 @@ def _model_from_fields(cfg):
     if kind == "gamma":
         return model_gamma()
     if kind == "custom":
-        entries = {(int(r), int(i)): _num(v) for r, i, v in cfg["table"]}
+        entries = {(_int(r), _int(i)): _num(v) for r, i, v in cfg["table"]}
         defined = set(entries) | {(1, 0), (2, 1)}
         return CumulantTable(_num(cfg.get("theta", 0)), _num(cfg["a21"]),
                              entries, defined, label="custom")
     raise ModelError(f"unknown model kind {cfg.get('model')!r}")
+
+
+def _int(v):
+    """An integer field: an int, an integral number or an integer string.
+    Bools and fractional values raise instead of being truncated."""
+    if isinstance(v, bool):
+        raise ModelError(f"{v!r} is not an integer")
+    if isinstance(v, (int, str)):
+        return int(v)
+    if isinstance(v, (float, Fraction)) and isfinite(v) and v == int(v):
+        return int(v)
+    raise ModelError(f"{v!r} is not an integer")
 
 
 def _num(v):

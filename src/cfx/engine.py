@@ -271,11 +271,11 @@ class ExpansionContext:
             work = table.negated()
             sign = -1
         a_theta = cumulants.standardize(work)
-        a_theta_jk = cumulants.jk_adjust(a_theta, J, K)
-        a_w_jk = cumulants.jk_adjust(
+        a_theta_jk = cumulants.JKAdjustedTable(a_theta, J, K)
+        a_w_jk = cumulants.JKAdjustedTable(
             cumulants.standardize(cumulants.model_gamma()), J, K)
         tau = cumulants.match_tau(a_theta_jk, a_w_jk)
-        diff = cumulants.diff_coeffs(a_theta_jk, a_w_jk, tau, matched_skew=True)
+        diff = cumulants.DiffTable(a_theta_jk, a_w_jk, tau, matched_skew=True)
         s1, s2 = cumulants.truncated_mean_var(work, J, K, n)
         m = float(n) * float(tau)
         return cls(diff, n, basedist.standardized_gamma(m), float(table.theta),
@@ -499,21 +499,22 @@ def term_count_table(rmax=6):
         raise OrderError(f"rmax {rmax} is outside the tabulated (J, K) ladder, "
                          f"which runs from 0 to {top}")
     rows = []
+    # running (N, M) sums of the per-order cells, which are what
+    # term_count_cumulative adds up under the same schedules
+    cums = {kind: ((1, 0), (1, 0)) for kind in ("h", "f", "g")}
     for r in range(0, rmax + 1):
         jr, kr = ROW_SCHEDULE[r]
         for kind in ("h", "f", "g"):
             if r == 0:
                 raw = match = (1, 0)
-                cum_raw = cum_match = (1, 0)
             else:
                 raw = term_count(kind, r, 0, 1, matched=False, base="normal")
                 match = term_count(kind, r, jr, kr, matched=True,
                                    base="general", drop_multi3=True)
-                cum_raw = term_count_cumulative(
-                    kind, r, schedule={rr: (0, 1) for rr in range(r + 1)},
-                    matched=False, base="normal")
-                cum_match = term_count_cumulative(
-                    kind, r, matched=True, base="general", drop_multi3=True)
+                cum_raw, cum_match = cums[kind]
+                cums[kind] = ((cum_raw[0] + raw[0], cum_raw[1] + raw[1]),
+                              (cum_match[0] + match[0], cum_match[1] + match[1]))
+            cum_raw, cum_match = cums[kind]
             saving = 0.0
             if sum(cum_raw):
                 saving = 1.0 - sum(cum_match) / sum(cum_raw)

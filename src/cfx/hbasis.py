@@ -5,9 +5,10 @@ density p; the symbols obey the one differential rule
 
     D H_r = H_1 H_r - H_{r+1},
 
-which extends to arbitrary polynomials by the product rule.  Everything else
-(the c-functions, the inversion operators, the conversions to and from the
-log-density derivatives a_r) is built from that rule plus Bell polynomials.
+which extends to arbitrary polynomials by the product rule.  The c-functions,
+the inversion operators and a_r = D^{r-1} H_1 (the log-density derivatives)
+are built from that rule; H_r and b_r in the a-symbols come from the complete
+Bell recurrence.
 
 Two indeterminate families share the Poly core: expressions "in H" and
 expressions "in a".  Conversions are explicit (``a_from_H``, ``H_from_a``,
@@ -16,7 +17,8 @@ expressions "in a".  Conversions are explicit (``a_from_H``, ``H_from_a``,
 
 from __future__ import annotations
 
-from math import comb, factorial
+from functools import cache
+from math import comb
 
 from . import bell
 from .hpoly import Poly
@@ -116,63 +118,39 @@ def apply_J(m, p):
     return _h1_plus_d(p, m, -1)
 
 
-def hermite_derivative(r, k):
-    """D^k H_r as a polynomial in H:
-    sum_i C(k,i) (-1)^i b_{k-i} H_{r+i}."""
-    if r < 0 or k < 0:
-        raise ValueError("indices must be nonnegative")
-    out = Poly()
-    for i in range(k + 1):
-        sign = -1 if i % 2 else 1
-        out = out + b_poly(k - i) * H(r + i) * (sign * comb(k, i))
-    return out
-
-
 # -- conversions between the H and a families --------------------------------
 
-_H_from_a_cache = {}
-_a_from_H_cache = {}
+@cache
+def _signed_complete_bell(r, sign):
+    """sign^r B_r(sign a) in the a-symbols, from the complete Bell recurrence
+    B_r(x) = sum_k C(r-1, k) x_{k+1} B_{r-1-k}(x), in integers."""
+    if r == 0:
+        return Poly.const(1)
+    return sum((a_sym(k + 1) * _signed_complete_bell(r - 1 - k, sign)
+                * (sign ** k * comb(r - 1, k)) for k in range(r)), Poly())
 
 
 def H_from_a(r):
     """H_r written in the a-symbols: (-1)^r B_r(-a)."""
     if r < 0:
         raise ValueError("index must be >= 0")
-    if r == 0:
-        return Poly.const(1)
-    if r not in _H_from_a_cache:
-        # the complete Bell recurrence B_r(x) = sum_k C(r-1, k) x_{k+1}
-        # B_{r-1-k}(x) at x = -a, in integers and from the cached lower H
-        _H_from_a_cache[r] = sum(
-            (a_sym(k + 1) * H_from_a(r - 1 - k) * ((-1) ** k * comb(r - 1, k))
-             for k in range(r)), Poly())
-    return _H_from_a_cache[r]
-
-
-def a_from_H(r):
-    """a_r written in the H-symbols:
-    sum_j (-1)^{r-j} (j-1)! B_{rj}(H)."""
-    if r < 1:
-        raise ValueError("index must be >= 1")
-    if r not in _a_from_H_cache:
-        hseq = bell.Seq([H(j) for j in range(1, r + 1)])
-        out = Poly()
-        for j in range(1, r + 1):
-            term = bell.exponential_bell(r, j, hseq)
-            out = out + term * (((-1) ** (r - j)) * factorial(j - 1))
-        _a_from_H_cache[r] = out
-    return _a_from_H_cache[r]
+    return _signed_complete_bell(r, -1)
 
 
 def b_from_a(r):
     """b_r written in the a-symbols: the complete Bell polynomial B_r(a)."""
     if r < 0:
         raise ValueError("index must be >= 0")
-    if r == 0:
-        return Poly.const(1)
-    aseq = bell.Seq([a_sym(j) for j in range(1, r + 1)])
-    val = bell.complete_bell(r, aseq)
-    return val if isinstance(val, Poly) else Poly.const(val)
+    return _signed_complete_bell(r, 1)
+
+
+@cache
+def a_from_H(r):
+    """a_r written in the H-symbols: a_1 = H_1 and a_{r+1} = D a_r, since
+    a_r is the r-th derivative of -ln p."""
+    if r < 1:
+        raise ValueError("index must be >= 1")
+    return H(1) if r == 1 else hp_diff(a_from_H(r - 1))
 
 
 def to_a_basis(p):

@@ -16,8 +16,9 @@ its two subclasses differ only in how two keys multiply:
   arithmetic.
 - ``LPoly`` keys are partitions read as brackets [pi] = prod_k L_k^{i_k}/i_k!
   in the adjusted-cumulant symbols, with ``Poly`` coefficients.  Brackets
-  multiply with an integer factor, [pi][rho] = ``pi.bracket_factor(rho)``
-  [pi + rho], so the h, f and g tables keep integer coefficients.
+  multiply with an integer factor, [pi][rho] = c [pi + rho] with
+  ``(pi + rho, c) = pi.times(rho)``, so the h, f and g tables keep integer
+  coefficients.
 
 Values are immutable in practice: no method mutates ``self``.
 """
@@ -190,9 +191,6 @@ class Poly(SparseMap):
     def const_value(self):
         return self.terms.get((), Fraction(0))
 
-    def degree(self):
-        return max((len(m) for m in self.terms), default=0)
-
     def max_index(self):
         return max((m[-1] for m in self.terms if m), default=0)
 
@@ -200,15 +198,6 @@ class Poly(SparseMap):
         return self.terms.get(tuple(sorted(mono)), Fraction(0))
 
     # -- structural maps ---------------------------------------------------
-
-    def shift_indices(self, delta):
-        """Replace every index i by i + delta (used for derivative ladders)."""
-        if delta == 0:
-            return self
-        p = Poly()
-        for m, c in self.terms.items():
-            p.terms[tuple(i + delta for i in m)] = c
-        return p
 
     def subs(self, mapping):
         """Substitute whole polynomials (or numbers) for atoms.
@@ -289,7 +278,7 @@ class LPoly(SparseMap):
 
     Terms map a Partition, read as the bracket [pi] = prod_k L_k^{i_k}/i_k!,
     to the Poly that multiplies it.  Brackets multiply with an integer
-    factor (``Partition.bracket_factor``), so the h, f and g tables hold
+    factor (``Partition.times``), so the h, f and g tables hold
     integer coefficients throughout.
     """
 
@@ -306,9 +295,7 @@ class LPoly(SparseMap):
                 if val:
                     self.terms[part] = val
 
-    @staticmethod
-    def _key_product(p1, p2):
-        return p1.merge(p2), p1.bracket_factor(p2)
+    _key_product = staticmethod(Partition.times)
 
     @classmethod
     def zero(cls):

@@ -128,7 +128,7 @@ def reversion_fg(R):
 
 def crk_recurrence(r, k):
     """The coefficient of H_{k-1} in h_r by the recurrence path, the
-    independent check of ``engine.crk_sym``: the boundary diagonal C_rr from
+    independent check of ``engine.crk``: the boundary diagonal C_rr from
     the parts-1-and-2 partitions, then C_{r,r+2i} by convolving lower
     diagonal values with ordinary Bell polynomials of the shifted symbols
     Lbar_m = L_{m+2}."""

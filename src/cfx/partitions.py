@@ -11,9 +11,9 @@ normalized product prod_k L_k^{i_k} / i_k!.  Every L_k is a power series in
 [pi].  It reads the series through one protocol, ``coeff(k, j)`` for the
 n^-j coefficient of L_k, which ``cumulants.ATable`` (a model's standardized
 coefficients) answers.
-Brackets multiply with integer factors, [pi][rho] =
-``pi.bracket_factor(rho)`` [pi + rho], which is why the symbolic tables
-written against them have integer coefficients.
+Brackets multiply with integer factors, [pi][rho] = c [pi + rho] with
+``(pi + rho, c) = pi.times(rho)``, which is why the symbolic tables written
+against them have integer coefficients.
 """
 
 from __future__ import annotations
@@ -74,9 +74,6 @@ class Partition:
 
     # -- views ---------------------------------------------------------------
 
-    def exponents(self):
-        return dict(self._items)
-
     def items(self):
         return self._items
 
@@ -115,26 +112,23 @@ class Partition:
     def contains(self, part):
         return self.count(part) > 0
 
-    def merge(self, other):
-        """Exponent-wise sum (monomial product of the underlying L powers)."""
-        exp = self.exponents()
+    def times(self, other):
+        """(pi + rho, c) with [self][other] = c [pi + rho]: the exponent-wise
+        sum of the two partitions, and c = prod_k C(i_k + j_k, i_k) over the
+        parts they share."""
+        exp = dict(self._items)
+        factor = 1
         for p, m in other._items:
-            exp[p] = exp.get(p, 0) + m
-        # both item tuples are valid, so the sum is too: skip __init__'s checks
-        merged = object.__new__(Partition)
-        merged._items = tuple(sorted(exp.items()))
-        return merged
-
-    def bracket_factor(self, other):
-        """The integer c with [self][other] = c [self.merge(other)]:
-        prod_k C(i_k + j_k, i_k) over the parts the two share."""
-        mine = dict(self._items)
-        out = 1
-        for p, m in other._items:
-            i = mine.get(p)
+            i = exp.get(p)
             if i:
-                out *= comb(i + m, m)
-        return out
+                factor *= comb(i + m, m)
+                exp[p] = i + m
+            else:
+                exp[p] = m
+        # both item tuples are valid, so the sum is too: skip __init__'s checks
+        product = object.__new__(Partition)
+        product._items = tuple(sorted(exp.items()))
+        return product, factor
 
     def text(self):
         toks = []
@@ -155,27 +149,6 @@ class Partition:
 
     def __repr__(self):
         return f"Partition({self.text()!r})"
-
-
-def partitions_of(k, min_part=1, max_part=None):
-    """Yield all partitions of k as Partition objects, parts ascending."""
-    if k < 0:
-        raise ValueError("size must be nonnegative")
-    if max_part is None:
-        max_part = k
-
-    def rec(remaining, low, acc):
-        if remaining == 0:
-            yield Partition.of(*acc)
-            return
-        for part in range(low, min(remaining, max_part) + 1):
-            acc.append(part)
-            yield from rec(remaining - part, part, acc)
-            acc.pop()
-
-    if k == 0:
-        return
-    yield from rec(k, min_part, [])
 
 
 def hset(r, k):

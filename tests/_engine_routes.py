@@ -1,18 +1,53 @@
-"""Closed forms and fixed-L formal maps that cross-check the engine.
+"""Reference routes and closed forms that cross-check the engine.
 
 ``e_r_closed`` is the split evaluation of the standardized expansion under
 the truncated-and-matched zero pattern (nabla_r + nabla_re), to be equal to
 ``engine.e_r_standardized``; ``formal_series_maps`` evaluates the truncated
 forward and inverse quantile maps at fixed L values, to be mutual inverses.
+``exponential_bell``, ``hermite_derivative`` and ``partitions_of`` are
+second routes to what the package computes by other recurrences.
 """
 
 from fractions import Fraction
+from math import comb, factorial
 
 from cfx import hbasis
-from cfx.bell import Seq
+from cfx.bell import Seq, partial_ordinary_bell
 from cfx.engine import OrderError, coefficient_lookup, fg_formal
 from cfx.hpoly import Poly
 from cfx.partitions import Partition, bracket_series_coeff
+
+
+def exponential_bell(r, j, x):
+    """The exponential partial Bell polynomial B_{rj}(x), from the ordinary
+    one: B_{rj}(x) = (r!/j!) B^_{rj}(y) at y_k = x_k/k!."""
+    y = Seq([x[k] * Fraction(1, factorial(k)) for k in range(1, r - j + 2)])
+    return partial_ordinary_bell(r, j, y) * Fraction(factorial(r), factorial(j))
+
+
+def hermite_derivative(r, k):
+    """D^k H_r as a polynomial in H:
+    sum_i C(k,i) (-1)^i b_{k-i} H_{r+i}."""
+    out = Poly()
+    for i in range(k + 1):
+        sign = -1 if i % 2 else 1
+        out = out + hbasis.b_poly(k - i) * hbasis.H(r + i) * (sign * comb(k, i))
+    return out
+
+
+def partitions_of(k):
+    """Yield all partitions of k >= 1 as Partition objects, parts ascending."""
+
+    def rec(remaining, low, acc):
+        if remaining == 0:
+            yield Partition.of(*acc)
+            return
+        for part in range(low, remaining + 1):
+            acc.append(part)
+            yield from rec(remaining - part, part, acc)
+            acc.pop()
+
+    yield from rec(k, 1, [])
 
 
 def nabla_r(r, atable):

@@ -10,6 +10,8 @@ from cfx import bell
 from cfx.bell import Seq, SeqLengthError
 from cfx.hpoly import Poly
 
+from _engine_routes import exponential_bell, partitions_of
+
 
 def ys(n=8):
     return Seq([F(i * i - 3, i + 1) for i in range(1, n + 1)])
@@ -131,16 +133,17 @@ def test_generating_function():
 
 
 def test_partition_normalized_values():
+    # b_{rj} = B^_{rj}/j!
     y = ys()
-    assert bell.ordinary_bell_b(2, 2, y) == y[1] ** 2 / 2
-    assert bell.ordinary_bell_b(3, 2, y) == y[1] * y[2]
-    assert bell.ordinary_bell_b(4, 2, y) == y[2] ** 2 / 2 + y[1] * y[3]
+    assert bell.partial_ordinary_bell(2, 2, y) / 2 == y[1] ** 2 / 2
+    assert bell.partial_ordinary_bell(3, 2, y) / 2 == y[1] * y[2]
+    assert bell.partial_ordinary_bell(4, 2, y) / 2 == y[2] ** 2 / 2 + y[1] * y[3]
 
 
 def test_partition_enumeration_oracle():
-    # b_{rj} must equal the bracket sum over partitions of r into j parts
+    # b_{rj} = B^_{rj}/j! must equal the bracket sum over partitions of r
+    # into j parts
     from math import factorial
-    from cfx.partitions import partitions_of
     y = ys(9)
     for r in range(1, 9):
         for j in range(1, r + 1):
@@ -152,23 +155,27 @@ def test_partition_enumeration_oracle():
                 for part, mult in pi.items():
                     prod *= y[part] ** mult / factorial(mult)
                 total += prod
-            assert bell.ordinary_bell_b(r, j, y) == total, (r, j)
+            assert bell.partial_ordinary_bell(r, j, y) / factorial(j) == total, (r, j)
 
 
 def test_exponential_bell_rescaling():
-    from math import factorial
     x = Seq([Poly.atom(i) for i in range(1, 8)])
-    assert bell.exponential_bell(1, 1, x) == Poly.atom(1)
-    assert bell.exponential_bell(6, 6, x) == Poly.atom(1) ** 6
-    b63 = bell.exponential_bell(6, 3, x)
+    assert exponential_bell(1, 1, x) == Poly.atom(1)
+    assert exponential_bell(6, 6, x) == Poly.atom(1) ** 6
+    b63 = exponential_bell(6, 3, x)
     H = Poly.atom
     assert b63 == 15 * H(1) ** 2 * H(4) + 60 * H(1) * H(2) * H(3) + 15 * H(2) ** 3
 
 
 def test_complete_bell():
+    # the row sums B_r = sum_j B_{rj} of the exponential rows
     a = Seq([Poly.atom(i) for i in range(1, 6)])
     H = Poly.atom
-    assert bell.complete_bell(0, a) == 1
-    assert bell.complete_bell(3, a) == H(3) + 3 * H(1) * H(2) + H(1) ** 3
-    assert bell.complete_bell(4, a) == (H(4) + 4 * H(1) * H(3) + 3 * H(2) ** 2
-                                        + 6 * H(1) ** 2 * H(2) + H(1) ** 4)
+
+    def complete(r):
+        return sum((exponential_bell(r, j, a) for j in range(0, r + 1)), Poly())
+
+    assert complete(0) == 1
+    assert complete(3) == H(3) + 3 * H(1) * H(2) + H(1) ** 3
+    assert complete(4) == (H(4) + 4 * H(1) * H(3) + 3 * H(2) ** 2
+                           + 6 * H(1) ** 2 * H(2) + H(1) ** 4)

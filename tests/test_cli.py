@@ -311,6 +311,15 @@ def test_bad_model_json(text, capsys):
                          "--p", "0.9"], capsys)
 
 
+@pytest.mark.parametrize("text", ['{"model": "lnF", "n1": 24.9, "n2": 60}',
+                                  '{"model": "lnF", "n1": true, "n2": 60}',
+                                  '{"model": "custom", "a21": 1, "table": [[3.7, 2.2, 1]]}'])
+def test_non_integer_model_field(text, capsys):
+    # an index or degree of freedom is refused, not truncated to an integer
+    assert "not an integer" in assert_config_error(
+        ["quantile", "--model-json", text, "--p", "0.9"], capsys)
+
+
 def test_match_skew_is_gone(capsys):
     # --base gamma is the one switch
     assert run(["quantile", "--model", "lnF", "--n1", "24", "--n2", "60",

@@ -216,9 +216,9 @@ def test_jk_adjust_identities():
     A = cm.standardize(lnf())
     for (J, K) in [(-1, 1), (0, 0)]:  # the one check of the truncation orders
         with pytest.raises(cm.ModelError):
-            cm.jk_adjust(A, J, K)
+            cm.JKAdjustedTable(A, J, K)
     for (J, K) in [(0, 2), (1, 2), (2, 3), (3, 4)]:
-        Aj = cm.jk_adjust(A, J, K)
+        Aj = cm.JKAdjustedTable(A, J, K)
         for r in range(2, 7):
             d = cm.d_coeffs(r, 2, A, K)
             assert Aj.get(r, r - 1) == A.get(r, r - 1)
@@ -239,16 +239,16 @@ def test_jk_zeroing_and_J_independence():
     for A in tables:
         for J in range(0, 4):
             for K in range(1, 5):
-                Aj = cm.jk_adjust(A, J, K)
+                Aj = cm.JKAdjustedTable(A, J, K)
                 for i in range(1, J + 1):
                     assert Aj.get(1, i) == 0, (A.label, J, K, i)
                 for i in range(2, K + 1):
                     assert Aj.get(2, i) == 0, (A.label, J, K, i)
     A = tables[0]
     for K in (2, 3, 4):
-        ref = cm.jk_adjust(A, 0, K)
+        ref = cm.JKAdjustedTable(A, 0, K)
         for J in (1, 2, 3):
-            other = cm.jk_adjust(A, J, K)
+            other = cm.JKAdjustedTable(A, J, K)
             for r in range(2, 7):
                 for i in range(r - 1, r + 4):
                     assert other.get(r, i) == ref.get(r, i)
@@ -257,7 +257,7 @@ def test_jk_zeroing_and_J_independence():
 def test_variance_row_convolution_equals_truncation_form():
     A = cm.standardize(lnf())
     for K in (2, 3, 4):
-        Aj = cm.jk_adjust(A, 0, K)
+        Aj = cm.JKAdjustedTable(A, 0, K)
         for i in range(2, 8):
             ds = cm.d_coeffs(2, i - 1, A, K)
             generic = sum(ds[i - j] * A.get(2, j) for j in range(1, i + 1))
@@ -268,12 +268,12 @@ def test_matching_pipeline():
     t = lnf()
     neg = cm.standardize(t.negated())
     assert neg.get(3, 2) == -cm.standardize(t).get(3, 2) > 0
-    Ajk = cm.jk_adjust(neg, 1, 1)
-    w = cm.jk_adjust(cm.standardize(cm.model_gamma()), 1, 1)
+    Ajk = cm.JKAdjustedTable(neg, 1, 1)
+    w = cm.JKAdjustedTable(cm.standardize(cm.model_gamma()), 1, 1)
     assert w.get(3, 2) == 2 and w.get(4, 3) == 6
     tau = cm.match_tau(Ajk, w)
     assert tau == (2 / neg.get(3, 2)) ** 2 == F(49, 9)
-    D = cm.diff_coeffs(Ajk, w, tau)
+    D = cm.DiffTable(Ajk, w, tau)
     assert D.get(3, 2) == 0  # the skewness kill, exact
     for r in range(4, 8):
         want = neg.get(r, r - 1) - math.factorial(r - 1) * (neg.get(3, 2) / 2) ** (r - 2)
@@ -334,6 +334,23 @@ def test_json_config_roundtrip():
         cm.model_from_config({"model": "nope"})
 
 
+def test_integer_model_fields():
+    # ints, integral numbers and integer strings are read as integers
+    want = cm.model_lnF(24, 60).entries
+    for n1 in (24, "24", 24.0, F(24)):
+        assert cm.model_from_config({"model": "lnF", "n1": n1, "n2": 60}).entries == want
+    custom = cm.model_from_config({"model": "custom", "a21": 1,
+                                   "table": [["3", 2.0, -2]]})
+    assert custom.get(3, 2) == -2
+    # bools and fractional values are refused, never truncated
+    for n1 in (24.9, True, "24.9", F(49, 2), float("inf"), float("nan")):
+        with pytest.raises(cm.ModelError):
+            cm.model_from_config({"model": "lnF", "n1": n1, "n2": 60})
+    for row in ([3.7, 2.2, 1], [3, 2.2, 1], [True, 0, 1], [3, "2.5", 1]):
+        with pytest.raises(cm.ModelError):
+            cm.model_from_config({"model": "custom", "a21": 1, "table": [row]})
+
+
 def test_d_coeffs_trivial_truncation():
     A = cm.standardize(lnf())
     d = cm.d_coeffs(3, 3, A, 1)  # K = 1 leaves no variance tail at all
@@ -345,31 +362,24 @@ def test_match_tau_identity():
     assert cm.match_tau(w, w) == 1
 
 
-def test_gamma_standardized_cumulant_values():
-    m = 16.0
-    assert cm.gamma_standardized_cumulant(m, 2) == 1.0
-    assert abs(cm.gamma_standardized_cumulant(m, 3) - 2 / math.sqrt(m)) < 1e-15
-    assert abs(cm.gamma_standardized_cumulant(m, 4) - 6 / m) < 1e-15
-
-
 def test_matched_diff_exact_for_rationals_and_floats():
     # for rational tables the generic formula and the by-construction zero
     # agree; for float tables only the construction guarantees the kill
     t = lnf()
     neg = cm.standardize(t.negated())
-    Ajk = cm.jk_adjust(neg, 1, 1)
-    w = cm.jk_adjust(cm.standardize(cm.model_gamma()), 1, 1)
+    Ajk = cm.JKAdjustedTable(neg, 1, 1)
+    w = cm.JKAdjustedTable(cm.standardize(cm.model_gamma()), 1, 1)
     tau = cm.match_tau(Ajk, w)
-    generic = cm.diff_coeffs(Ajk, w, tau)
-    matched = cm.diff_coeffs(Ajk, w, tau, matched_skew=True)
+    generic = cm.DiffTable(Ajk, w, tau)
+    matched = cm.DiffTable(Ajk, w, tau, matched_skew=True)
     assert generic.get(3, 2) == matched.get(3, 2) == 0
     for (r, i) in [(4, 3), (5, 4), (3, 3), (2, 3)]:
         assert generic.get(r, i) == matched.get(r, i)
     # a float model where the recomputation route would carry rounding
     fl = cm.CumulantTable(0.0, 1.0, {(1, 1): 0.3, (3, 2): 0.7230000000000001,
                                      (2, 2): 1.1}, "all", label="float-model")
-    A = cm.jk_adjust(cm.standardize(fl), 1, 1)
-    wjk = cm.jk_adjust(cm.standardize(cm.model_gamma()), 1, 1)
+    A = cm.JKAdjustedTable(cm.standardize(fl), 1, 1)
+    wjk = cm.JKAdjustedTable(cm.standardize(cm.model_gamma()), 1, 1)
     tau2 = cm.match_tau(A, wjk)
-    D = cm.diff_coeffs(A, wjk, tau2, matched_skew=True)
+    D = cm.DiffTable(A, wjk, tau2, matched_skew=True)
     assert D.get(3, 2) == 0

@@ -10,6 +10,8 @@ from hypothesis import given, strategies as st
 from cfx import basedist, bell, engine, hbasis
 from cfx.hpoly import LPoly, Poly
 
+from _engine_routes import exponential_bell, hermite_derivative
+
 H = hbasis.H
 a = hbasis.a_sym
 
@@ -105,7 +107,7 @@ def test_hermite_derivative_vs_iterated_diff():
     for r in range(0, 9):
         p = H(r)
         for k in range(0, 5):
-            assert hbasis.hermite_derivative(r, k) == p, (r, k)
+            assert hermite_derivative(r, k) == p, (r, k)
             p = hbasis.hp_diff(p)
 
 
@@ -140,10 +142,13 @@ def test_H_from_a_reference_rows():
 
 
 def test_H_from_a_matches_complete_bell():
-    # the recurrence behind H_from_a against the defining (-1)^r B_r(-a)
+    # the recurrence behind H_from_a against the defining (-1)^r B_r(-a),
+    # with B_r = sum_j B_{rj} summed from the exponential Bell rows
     for r in range(1, 13):
         neg_a = bell.Seq([-a(j) for j in range(1, r + 1)])
-        assert hbasis.H_from_a(r) == bell.complete_bell(r, neg_a) * (-1) ** r, r
+        complete = sum((exponential_bell(r, j, neg_a) for j in range(1, r + 1)),
+                       Poly())
+        assert hbasis.H_from_a(r) == complete * (-1) ** r, r
     # rows past bell's order guard exist too: an order-9 a-basis table
     # needs H_26
     top = hbasis.H_from_a(26)
@@ -169,11 +174,24 @@ def test_a_from_H_reference_rows():
 
 def test_a6_bell_row_decomposition():
     hseq = bell.Seq([H(j) for j in range(1, 7)])
-    assert bell.exponential_bell(6, 2, hseq) == (6 * H(1) * H(5) + 15 * H(2) * H(4)
-                                                 + 10 * H(3) ** 2)
-    combo = sum((((-1) ** (6 - j)) * factorial(j - 1) * bell.exponential_bell(6, j, hseq)
+    assert exponential_bell(6, 2, hseq) == (6 * H(1) * H(5) + 15 * H(2) * H(4)
+                                            + 10 * H(3) ** 2)
+    combo = sum((((-1) ** (6 - j)) * factorial(j - 1) * exponential_bell(6, j, hseq)
                  for j in range(1, 7)), Poly())
     assert combo == hbasis.a_from_H(6)
+
+
+def test_conversions_match_bell_sums():
+    # a_r = D^{r-1} H_1 against sum_j (-1)^{r-j} (j-1)! B_{rj}(H), and the
+    # recurrence behind b_from_a against sum_j B_{rj}(a)
+    for r in range(1, 11):
+        hseq = bell.Seq([H(j) for j in range(1, r + 1)])
+        aseq = bell.Seq([a(j) for j in range(1, r + 1)])
+        a_r = sum((((-1) ** (r - j)) * factorial(j - 1) * exponential_bell(r, j, hseq)
+                   for j in range(1, r + 1)), Poly())
+        b_r = sum((exponential_bell(r, j, aseq) for j in range(1, r + 1)), Poly())
+        assert hbasis.a_from_H(r) == a_r, r
+        assert hbasis.b_from_a(r) == b_r, r
 
 
 def test_b_from_a_reference_rows():
@@ -239,8 +257,8 @@ def test_generating_function_of_H():
 
 def test_second_derivative_of_H1_is_a3():
     # D^2 H_1 coincides with the third log-density derivative
-    assert hbasis.hermite_derivative(1, 2) == hbasis.a_from_H(3)
-    assert hbasis.hermite_derivative(2, 1) == H(1) * H(2) - H(3)
+    assert hermite_derivative(1, 2) == hbasis.a_from_H(3)
+    assert hermite_derivative(2, 1) == H(1) * H(2) - H(3)
 
 
 def test_hp_eval_at_origin():

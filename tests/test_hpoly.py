@@ -54,10 +54,6 @@ def test_subs():
     assert q.is_zero()
 
 
-def test_shift_indices():
-    assert (H1 * H2).shift_indices(3) == Poly.atom(4) * Poly.atom(5)
-
-
 def test_text_rendering():
     p = Poly.atom(7) - 2 * H3 * Poly.atom(4) + H1 * H3 * H3
     assert p.text() == "H7 - 2*H3*H4 + H1*H3^2"
