@@ -172,39 +172,45 @@ def inv_reg_inc_gamma(a, p):
             raise NumericError(f"inverse gamma bracket failed: a={a}, p={p}")
     if not lo < x < hi:
         x = 0.5 * (lo + hi)
-    for _ in range(200):
+    return _newton(lambda t: reg_inc_gamma(a, t) - p,
+                   lambda t: -t + (a - 1.0) * math.log(t) - gln, x, lo, hi,
+                   200, 1e-15, f"inverse incomplete gamma a={a}, p={p}")
+
+
+def _newton(resid, lnpdf, x, lo, hi, iters, rtol, what):
+    """The root of the residual resid(x) = P(x) - p in (lo, hi), by Newton
+    steps on the density exp(lnpdf(x)), bisecting whenever a step leaves
+    the bracket or the density underflows.  Stops at |resid| < 1e-16 or a
+    step within rtol x, then raises unless the last Newton step |f|/pdf(x)
+    is within 1e-8 x (compared in logs: pdf(x) may overflow), since the
+    absolute stop says nothing once p is tiny."""
+    top = hi
+    for _ in range(iters):
+        if not 0.0 < x < top:
+            raise NumericError(f"{what} lies closer to {x} than float resolves")
         xf = x
-        f = reg_inc_gamma(a, x) - p
+        f = resid(x)
         if f > 0:
             hi = x
         else:
             lo = x
         if abs(f) < 1e-16:
             break
-        lnpdf = -x + (a - 1.0) * math.log(x) - gln
-        if lnpdf < -700:
+        lp = lnpdf(x)
+        if lp < -700:
             x = 0.5 * (lo + hi)
             continue
-        step = f / math.exp(lnpdf)
-        xn = x - step
+        xn = x - f / math.exp(lp)
         if not lo < xn < hi:
             xn = 0.5 * (lo + hi)
-        if abs(xn - x) <= 1e-15 * (abs(x) + 1e-300):
+        if abs(xn - x) <= rtol * (abs(x) + 1e-300):
             x = xn
             break
         x = xn
-    _check_newton_step(f, -xf + (a - 1.0) * math.log(xf) - gln, xf,
-                       f"inverse incomplete gamma a={a}, p={p}")
-    return x
-
-
-def _check_newton_step(f, lnpdf, x, what):
-    """Raise unless the Newton step |f|/pdf(x) of the last residual f at
-    x > 0 is within 1e-8 x (compared in logs: pdf(x) may overflow).  The
-    loops stop at |P(x) - p| < 1e-16, which says nothing once p is tiny."""
-    if f and math.log(abs(f)) - lnpdf - math.log(x) > math.log(1e-8):
+    if f and math.log(abs(f)) - lnpdf(xf) - math.log(xf) > math.log(1e-8):
         raise NumericError(f"{what}: no convergence, the last Newton step "
-                           f"at x={x:.6g} exceeds 1e-8 x (p too small)")
+                           f"at x={xf:.6g} exceeds 1e-8 x (p too small)")
+    return x
 
 
 def _beta_contfrac(a, b, x):
@@ -266,36 +272,11 @@ def inv_reg_inc_beta(a, b, p):
     """Inverse of I_x(a, b) in x, by safeguarded Newton on [0, 1]."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"probability {p} not in (0, 1)")
-    lo, hi = 0.0, 1.0
-    x = 0.5
     lbeta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    for _ in range(300):
-        if not 0.0 < x < 1.0:
-            raise NumericError(f"inverse incomplete beta a={a}, b={b} at "
-                               f"p={p} lies closer to {x} than float resolves")
-        xf = x
-        f = reg_inc_beta(a, b, x) - p
-        if f > 0:
-            hi = x
-        else:
-            lo = x
-        if abs(f) < 1e-16:
-            break
-        lnpdf = (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - lbeta
-        if lnpdf < -700:
-            x = 0.5 * (lo + hi)
-            continue
-        xn = x - f / math.exp(lnpdf)
-        if not lo < xn < hi:
-            xn = 0.5 * (lo + hi)
-        if abs(xn - x) <= 1e-16 * (abs(x) + 1e-300):
-            x = xn
-            break
-        x = xn
-    _check_newton_step(
-        f, (a - 1.0) * math.log(xf) + (b - 1.0) * math.log1p(-xf) - lbeta, xf,
-        f"inverse incomplete beta a={a}, b={b}, p={p}")
-    return x
+    return _newton(
+        lambda t: reg_inc_beta(a, b, t) - p,
+        lambda t: (a - 1.0) * math.log(t) + (b - 1.0) * math.log1p(-t) - lbeta,
+        0.5, 0.0, 1.0, 300, 1e-16, f"inverse incomplete beta a={a}, b={b}, p={p}")
 
 
 def falling_factorial(alpha, j):

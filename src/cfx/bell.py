@@ -76,10 +76,7 @@ def partial_ordinary_bell(r, j, y):
 
 
 def _partial(r, j, y):
-    if r < j:
-        return 0
-    if j == 0:
-        return 1 if r == 0 else 0
+    # 1 <= j <= r here: the recursion reads only rows a >= j - 1 >= 1
     key = (r, j)
     hit = y._cache.get(key)
     if hit is not None:

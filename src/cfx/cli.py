@@ -53,6 +53,8 @@ def _model_config(args):
             r, eq, v = tok.partition("=")
             if not eq:
                 raise ConfigError(f"--mu {tok!r} is not an R=VALUE pair")
+            if r in cfg["mu"]:
+                raise ConfigError(f"--mu order {r} is given twice")
             cfg["mu"][r] = v
     return cfg
 

@@ -243,21 +243,16 @@ class JKAdjustedTable(_LazyATable):
         self.K = K
 
     def _compute(self, r, i):
-        src, J, K = self.source, self.J, self.K
-        if r == 1:
-            if i <= J:
-                return 0
-            ds = d_coeffs(1, i - J - 1, src, K)
-            return sum((ds[i - j] * src.get(1, j) for j in range(J + 1, i + 1)), 0)
-        if r == 2:
-            if i == 1:
-                return src.get(2, 1)
-            if i <= K:
-                return 0
-            ds = d_coeffs(2, i - K - 1, src, K)
-            return sum((ds[i - j] * src.get(2, j) for j in range(K + 1, i + 1)), 0)
-        ds = d_coeffs(r, i - r + 1, src, K)
-        return sum((ds[i - j] * src.get(r, j) for j in range(r - 1, i + 1)), 0)
+        src, K = self.source, self.K
+        if (r, i) == (2, 1):
+            return src.get(2, 1)
+        # the first source index the sum reads: the truncation absorbs the
+        # mean's first J + 1 terms and the variance's first K
+        lo = {1: self.J + 1, 2: K + 1}.get(r, r - 1)
+        if i < lo:
+            return 0
+        ds = d_coeffs(r, i - lo, src, K)
+        return sum((ds[i - j] * src.get(r, j) for j in range(lo, i + 1)), 0)
 
 
 def match_tau(a_theta, a_w):
@@ -425,6 +420,8 @@ def model_studentized_mean(nu3, nu4=None, nu5=None):
     against the classical second-order expansion of the studentized mean and
     against direct simulation of kappa_2.
     """
+    if nu5 is not None and nu4 is None:
+        raise ModelError("nu5 enters only with nu4")
     nu3 = _keep(nu3)
     entries = {
         (1, 1): -nu3 / 2,
@@ -484,24 +481,49 @@ def model_from_config(cfg):
                          f"({e})") from None
 
 
+# the fields each model kind reads, besides "model"
+_FIELDS = {"lnF": {"n1", "n2"}, "sample_variance": {"mu"},
+           "studentized_mean": {"nu3", "nu4", "nu5"}, "gamma": set(),
+           "custom": {"theta", "a21", "table"}}
+
+
 def _model_from_fields(cfg):
     kind = cfg.get("model")
+    if kind not in _FIELDS:
+        raise ModelError(f"unknown model kind {kind!r}")
+    unread = set(cfg) - _FIELDS[kind] - {"model"}
+    if unread:
+        raise ModelError(f"model {kind!r} does not read {sorted(unread)}")
     if kind == "lnF":
         return model_lnF(_int(cfg["n1"]), _int(cfg["n2"]))
     if kind == "sample_variance":
-        mu = {_int(k): _num(v) for k, v in cfg["mu"].items()}
-        return model_sample_variance(mu)
+        return model_sample_variance(
+            _unique(((_int(k), _num(v)) for k, v in cfg["mu"].items()),
+                    "moment order"))
     if kind == "studentized_mean":
         return model_studentized_mean(_num(cfg["nu3"]), _num(cfg.get("nu4")),
                                       _num(cfg.get("nu5")))
     if kind == "gamma":
         return model_gamma()
-    if kind == "custom":
-        entries = {(_int(r), _int(i)): _num(v) for r, i, v in cfg["table"]}
-        defined = set(entries) | {(1, 0), (2, 1)}
-        return CumulantTable(_num(cfg.get("theta", 0)), _num(cfg["a21"]),
-                             entries, defined, label="custom")
-    raise ModelError(f"unknown model kind {cfg.get('model')!r}")
+    theta, a21 = _num(cfg.get("theta", 0)), _num(cfg["a21"])
+    entries = _unique((((_int(r), _int(i)), _num(v)) for r, i, v in cfg["table"]),
+                      "custom row")
+    for (r, i), v in entries.items():
+        if r < 1 or i < r - 1 or {(1, 0): theta, (2, 1): a21}.get((r, i), v) != v:
+            raise ModelError(f"custom row [{r}, {i}, {v}]: rows need r >= 1 and "
+                             f"i >= r - 1, and [1, 0] and [2, 1] repeat theta and a21")
+    return CumulantTable(theta, a21, entries, set(entries) | {(1, 0), (2, 1)},
+                         label="custom")
+
+
+def _unique(pairs, what):
+    """A dict of (key, value) pairs in which no key repeats."""
+    out = {}
+    for k, v in pairs:
+        if k in out:
+            raise ModelError(f"{what} {k} is given twice")
+        out[k] = v
+    return out
 
 
 def _int(v):
@@ -517,8 +539,12 @@ def _int(v):
 
 
 def _num(v):
+    """A number field: an int, a float, a Fraction or a rational string.
+    Bools raise instead of being read as 0 or 1."""
     if v is None:
         return None
+    if isinstance(v, bool):
+        raise ModelError(f"{v!r} is not a number")
     if isinstance(v, (str, int)):
         return Fraction(v)
     if not isfinite(v):

@@ -5,13 +5,12 @@ density p; the symbols obey the one differential rule
 
     D H_r = H_1 H_r - H_{r+1},
 
-which extends to arbitrary polynomials by the product rule.  The c-functions,
-the inversion operators and a_r = D^{r-1} H_1 (the log-density derivatives)
-are built from that rule; H_r and b_r in the a-symbols come from the complete
-Bell recurrence.
+which extends to arbitrary polynomials by the product rule.  The c-functions
+and the inversion operators are built from that rule; H_r in the
+log-density-derivative symbols a_r comes from the complete Bell recurrence.
 
 Two indeterminate families share the Poly core: expressions "in H" and
-expressions "in a".  Conversions are explicit (``a_from_H``, ``H_from_a``,
+expressions "in a".  Conversions are explicit (``H_from_a``,
 ``to_a_basis``); nothing converts implicitly.
 """
 
@@ -88,18 +87,7 @@ def hp_eval(p, values):
 
 # -- cached ladders ----------------------------------------------------------
 
-_b_cache = {0: Poly.const(1)}
 _c_cache = {1: Poly.const(1)}
-
-
-def b_poly(i):
-    """b_i = (H_1 + D)^i 1, as a polynomial in H."""
-    if i < 0:
-        raise ValueError("b index must be >= 0")
-    if i not in _b_cache:
-        prev = b_poly(i - 1)
-        _b_cache[i] = _h1_plus_d(prev, 1, 1)
-    return _b_cache[i]
 
 
 def c_function(k):
@@ -121,36 +109,15 @@ def apply_J(m, p):
 # -- conversions between the H and a families --------------------------------
 
 @cache
-def _signed_complete_bell(r, sign):
-    """sign^r B_r(sign a) in the a-symbols, from the complete Bell recurrence
-    B_r(x) = sum_k C(r-1, k) x_{k+1} B_{r-1-k}(x), in integers."""
+def H_from_a(r):
+    """H_r written in the a-symbols: (-1)^r B_r(-a), from the complete Bell
+    recurrence B_r(x) = sum_k C(r-1, k) x_{k+1} B_{r-1-k}(x), in integers."""
+    if r < 0:
+        raise ValueError("index must be >= 0")
     if r == 0:
         return Poly.const(1)
-    return sum((a_sym(k + 1) * _signed_complete_bell(r - 1 - k, sign)
-                * (sign ** k * comb(r - 1, k)) for k in range(r)), Poly())
-
-
-def H_from_a(r):
-    """H_r written in the a-symbols: (-1)^r B_r(-a)."""
-    if r < 0:
-        raise ValueError("index must be >= 0")
-    return _signed_complete_bell(r, -1)
-
-
-def b_from_a(r):
-    """b_r written in the a-symbols: the complete Bell polynomial B_r(a)."""
-    if r < 0:
-        raise ValueError("index must be >= 0")
-    return _signed_complete_bell(r, 1)
-
-
-@cache
-def a_from_H(r):
-    """a_r written in the H-symbols: a_1 = H_1 and a_{r+1} = D a_r, since
-    a_r is the r-th derivative of -ln p."""
-    if r < 1:
-        raise ValueError("index must be >= 1")
-    return H(1) if r == 1 else hp_diff(a_from_H(r - 1))
+    return sum((a_sym(k + 1) * H_from_a(r - 1 - k) * ((-1) ** k * comb(r - 1, k))
+                for k in range(r)), Poly())
 
 
 def to_a_basis(p):

@@ -1,10 +1,11 @@
 """Independent verification paths.
 
 ``reversion_fg`` re-derives the forward and inverse quantile-map polynomials
-from the cdf-correction polynomials alone, by formal composition and series
-reversion: no inversion-ladder operators are involved, so exact agreement
-with the engine's tables is a genuine two-route check.  ``crk_recurrence``
-does the same for the cdf-correction coefficients C_rk.
+from the cdf-correction polynomials alone: f by the Taylor shift of the base
+cdf, and g by series inversion of f, each from one growing Bell sequence.
+No inversion-ladder operators are involved, so exact agreement with the
+engine's tables is a genuine two-route check.  ``crk_recurrence`` does the
+same for the cdf-correction coefficients C_rk.
 
 ``exact_lnF_quantile`` gives the reference quantile of half the log of an F
 ratio through the regularized incomplete beta, and ``mc_cdf`` estimates the
@@ -37,18 +38,6 @@ def _b(seq_obj, r, k):
     return partial_ordinary_bell(r, k, seq_obj).exact_div(math.factorial(k))
 
 
-def _diff_pow(lpoly, m, cache):
-    """D^m applied to every H-coefficient of an LPoly, cached."""
-    key = (id(lpoly), m)
-    if key in cache:
-        return cache[key]
-    cur = lpoly
-    for _ in range(m):
-        cur = cur.map_values(hbasis.hp_diff)
-    cache[key] = cur
-    return cur
-
-
 def reversion_fg(R):
     """(f_1..f_R, g_1..g_R) re-derived from (h_1..h_R) by reversion.
 
@@ -58,67 +47,38 @@ def reversion_fg(R):
         sum_{k=1}^r b_{rk}(f) H_{k-1} = h_r,
 
     whose k = 1 term isolates f_r in terms of lower orders.  Inverse map:
-    composing the expansion with x + psi and Taylor-expanding the base cdf,
-    the base density, and each h_s (symbolically, through the derivative
-    rule) isolates g_r the same way.  Everything stays in exact rational
-    arithmetic; no floating point enters this path.
+    with F = sum f_r eps^r and G = sum g_r eps^r, x - F(x) is the base
+    quantile of x and x + G(x) maps it back, so G(x) = F(x + G(x)); Taylor
+    expanding each f_s (symbolically, through the derivative rule) gives
+
+        g_r = f_r + sum_{s<r} sum_{m=1}^{r-s} b_{r-s,m}(g) D^m f_s.
+
+    Each b reads only lower orders, so f and g each grow one Bell sequence.
+    Everything stays in exact rational arithmetic; no floating point enters
+    this path.
     """
-    hs = [h_formal(r) for r in range(1, R + 1)]
-
-    # forward: f_r = h_r - sum_{k>=2} b_{rk}(f) H_{k-1}
-    fs = []
+    fseq, gseq = Seq([]), Seq([])
+    fs, gs = [], []
+    # dfs[s - 1] holds f_s, D f_s, D^2 f_s, ..., one more at every order
+    dfs = []
     for r in range(1, R + 1):
-        rhs = hs[r - 1]
-        if r > 1:
-            fseq = Seq(fs + [LPoly.zero()])  # f_r itself never enters for k >= 2
-            for k in range(2, r + 1):
-                term = _b(fseq, r, k)
-                if term:
-                    rhs = rhs - term * hbasis.H(k - 1)
-        fs.append(rhs)
-
-    # inverse: match, order by order in eps,
-    #   sum_{k>=1} (psi^k/k!) (-1)^{k-1} H_{k-1}
-    #     = [sum_{j>=0} (psi^j/j!) (-1)^j H_j] [sum_s eps^s h_s(x + psi)]
-    # where psi = sum_r g_r eps^r; the k = 1 term on the left isolates g_r.
-    gs = []
-    dcache = {}
-    for r in range(1, R + 1):
-        gseq = Seq(gs + [LPoly.zero()])
-
-        def psi_pow(a, j):
-            # coefficient of eps^a in psi^j / j!
-            if j == 0:
-                return LPoly.one() if a == 0 else LPoly.zero()
-            if a < j:
-                return LPoly.zero()
-            return _b(gseq, a, j)
-
-        rhs = LPoly.zero()
-        for s in range(1, r + 1):
-            budget = r - s
-            for a in range(0, budget + 1):
-                c = budget - a
-                for j in range(0, a + 1):
-                    pj = psi_pow(a, j)
-                    if not pj:
-                        continue
-                    sign_j = 1 if j % 2 == 0 else -1
-                    left = pj * hbasis.H(j) * sign_j if j else pj
-                    for m in range(0, c + 1):
-                        pm = psi_pow(c, m)
-                        if not pm:
-                            continue
-                        hsm = _diff_pow(hs[s - 1], m, dcache)
-                        rhs = rhs + left * pm * hsm
-        lhs_low = LPoly.zero()
+        f = h_formal(r)
         for k in range(2, r + 1):
-            term = _b(gseq, r, k)
+            term = _b(fseq, r, k)
             if term:
-                sign = 1 if (k - 1) % 2 == 0 else -1
-                lhs_low = lhs_low + term * hbasis.H(k - 1) * sign
-        gs.append(rhs - lhs_low)
+                f = f - term * hbasis.H(k - 1)
+        fseq.extend([f])
+        fs.append(f)
+        dfs.append([f])
 
+        g = f
+        for s in range(1, r):
+            ds = dfs[s - 1]
+            ds.append(ds[-1].map_values(hbasis.hp_diff))
+            for m in range(1, r - s + 1):
+                g = g + _b(gseq, r - s, m) * ds[m]
+        gseq.extend([g])
+        gs.append(g)
     return fs, gs
 
 

@@ -5,10 +5,13 @@ the truncated-and-matched zero pattern (nabla_r + nabla_re), to be equal to
 ``engine.e_r_standardized``; ``formal_series_maps`` evaluates the truncated
 forward and inverse quantile maps at fixed L values, to be mutual inverses.
 ``exponential_bell``, ``hermite_derivative`` and ``partitions_of`` are
-second routes to what the package computes by other recurrences.
+second routes to what the package computes by other recurrences;
+``b_poly``, ``a_from_H`` and ``b_from_a`` are the conversions only these
+reference routes and the conversion tables use.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 from cfx import hbasis
@@ -25,13 +28,39 @@ def exponential_bell(r, j, x):
     return partial_ordinary_bell(r, j, y) * Fraction(factorial(r), factorial(j))
 
 
+@cache
+def b_poly(i):
+    """b_i = (H_1 + D)^i 1, as a polynomial in H."""
+    if i == 0:
+        return Poly.const(1)
+    prev = b_poly(i - 1)
+    return hbasis.H(1) * prev + hbasis.hp_diff(prev)
+
+
+@cache
+def a_from_H(r):
+    """a_r written in the H-symbols: a_1 = H_1 and a_{r+1} = D a_r, since
+    a_r is the r-th derivative of -ln p."""
+    return hbasis.H(1) if r == 1 else hbasis.hp_diff(a_from_H(r - 1))
+
+
+@cache
+def b_from_a(r):
+    """b_r written in the a-symbols: the complete Bell polynomial B_r(a),
+    from B_r = sum_k C(r-1, k) a_{k+1} B_{r-1-k}."""
+    if r == 0:
+        return Poly.const(1)
+    return sum((hbasis.a_sym(k + 1) * b_from_a(r - 1 - k) * comb(r - 1, k)
+                for k in range(r)), Poly())
+
+
 def hermite_derivative(r, k):
     """D^k H_r as a polynomial in H:
     sum_i C(k,i) (-1)^i b_{k-i} H_{r+i}."""
     out = Poly()
     for i in range(k + 1):
         sign = -1 if i % 2 else 1
-        out = out + hbasis.b_poly(k - i) * hbasis.H(r + i) * (sign * comb(k, i))
+        out = out + b_poly(k - i) * hbasis.H(r + i) * (sign * comb(k, i))
     return out
 
 

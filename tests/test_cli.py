@@ -320,6 +320,39 @@ def test_non_integer_model_field(text, capsys):
         ["quantile", "--model-json", text, "--p", "0.9"], capsys)
 
 
+def _custom(*rows, head=""):
+    # a custom model that answers at order 1, plus the rows given
+    table = json.dumps([[1, 1, "-1/2"], [3, 2, "3/2"], *rows])
+    return ["--model-json", f'{{"model": "custom", {head}"a21": 1, "table": {table}}}']
+
+
+MALFORMED_MODEL_ARGS = [
+    _custom([0, 2, 9]),
+    _custom([3, -1, 7]),
+    _custom([3, 2, 5]),
+    ["--model", "sample_variance", "--mu", "2=2", "2=1", "3=2", "4=9", "5=44",
+     "6=265", "7=1854", "8=14833", "10=1334961"],
+    ["--model-json", '{"model": "sample_variance", "mu": {"2": 1, "3": 2, '
+     '"4": 9, "5": 44, "6": 265, "7": 1854, "8": 14833, "10": 1334961, '
+     '"02": 2}}'],
+    _custom([1, 0, 2], head='"theta": 1, '),
+    _custom([2, 1, 3]),
+    ["--model-json", '{"model": "custom", "a21": true, "table": '
+     '[[1, 1, "-1/2"], [3, 2, "3/2"]]}'],
+    ["--model-json", '{"model": "studentized_mean", "nu3": true}'],
+    ["--model-json", '{"model": "gamma", "extra": 5}'],
+    ["--model", "lnF", "--n1", "50", "--n2", "50", "--nu3", "5"],  # n = 50
+    ["--model", "studentized_mean", "--nu3", "2", "--nu5", "44"],
+]
+
+
+@pytest.mark.parametrize("model", MALFORMED_MODEL_ARGS)
+def test_malformed_model_input(model, capsys):
+    # each was once answered with exit 0
+    assert_config_error(["quantile", *model, "--n", "50", "--p", "0.9",
+                         "--order", "1"], capsys)
+
+
 def test_match_skew_is_gone(capsys):
     # --base gamma is the one switch
     assert run(["quantile", "--model", "lnF", "--n1", "24", "--n2", "60",

@@ -351,6 +351,41 @@ def test_integer_model_fields():
             cm.model_from_config({"model": "custom", "a21": 1, "table": [row]})
 
 
+SV_MU = {"2": 1, "3": 2, "4": 9, "5": 44, "6": 265, "7": 1854, "8": 14833,
+         "10": 1334961}
+
+# inputs that were once accepted silently: a row never read, a value that
+# overwrote another, a bool read as 1, a field the model drops
+MALFORMED_MODELS = [
+    {"model": "custom", "a21": 1, "table": [[0, 2, 9]]},
+    {"model": "custom", "a21": 1, "table": [[3, -1, 7]]},
+    {"model": "custom", "a21": 1, "table": [[3, 2, 1], [3, 2, 5]]},
+    {"model": "sample_variance", "mu": {**SV_MU, "02": 2}},
+    {"model": "custom", "theta": 1, "a21": 1, "table": [[1, 0, 2]]},
+    {"model": "custom", "a21": 1, "table": [[2, 1, 3]]},
+    {"model": "custom", "a21": True, "table": [[3, 2, 1]]},
+    {"model": "studentized_mean", "nu3": True},
+    {"model": "lnF", "n1": 24, "n2": 60, "nu3": 5},
+    {"model": "gamma", "extra": 5},
+    {"model": "studentized_mean", "nu3": 2, "nu5": 44},
+]
+
+
+@pytest.mark.parametrize("cfg", MALFORMED_MODELS)
+def test_malformed_model_input(cfg):
+    with pytest.raises(cm.ModelError):
+        cm.model_from_config(cfg)
+
+
+def test_rows_that_agree_with_theta_and_a21():
+    # table_to_config writes theta and a21 as rows too
+    t = cm.model_from_config({"model": "custom", "theta": "1/2", "a21": 2,
+                              "table": [[1, 0, "1/2"], [2, 1, 2], [3, 2, 1]]})
+    assert (t.theta, t.a21, t.get(3, 2)) == (F(1, 2), 2, 1)
+    sv = cm.model_from_config({"model": "sample_variance", "mu": SV_MU})
+    assert cm.model_from_config(cm.table_to_config(sv)).entries == sv.entries
+
+
 def test_d_coeffs_trivial_truncation():
     A = cm.standardize(lnf())
     d = cm.d_coeffs(3, 3, A, 1)  # K = 1 leaves no variance tail at all

@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 from cfx import basedist, bell, engine, hbasis
 from cfx.hpoly import LPoly, Poly
 
-from _engine_routes import exponential_bell, hermite_derivative
+from _engine_routes import (a_from_H, b_from_a, b_poly, exponential_bell,
+                            hermite_derivative)
 
 H = hbasis.H
 a = hbasis.a_sym
@@ -112,15 +113,15 @@ def test_hermite_derivative_vs_iterated_diff():
 
 
 def test_b_polys():
-    assert hbasis.b_poly(0) == Poly.const(1)
-    assert hbasis.b_poly(1) == H(1)
-    assert hbasis.b_poly(2) == 2 * H(1) ** 2 - H(2)
-    assert hbasis.b_poly(3) == 6 * H(1) ** 3 - 6 * H(1) * H(2) + H(3)
-    assert hbasis.b_poly(4) == (24 * H(1) ** 4 - 36 * H(1) ** 2 * H(2)
-                                + 8 * H(1) * H(3) + 6 * H(2) ** 2 - H(4))
-    assert hbasis.b_poly(5) == (120 * H(1) ** 5 - 240 * H(1) ** 3 * H(2)
-                                + 60 * H(1) ** 2 * H(3) + 90 * H(1) * H(2) ** 2
-                                - 10 * H(1) * H(4) - 20 * H(2) * H(3) + H(5))
+    assert b_poly(0) == Poly.const(1)
+    assert b_poly(1) == H(1)
+    assert b_poly(2) == 2 * H(1) ** 2 - H(2)
+    assert b_poly(3) == 6 * H(1) ** 3 - 6 * H(1) * H(2) + H(3)
+    assert b_poly(4) == (24 * H(1) ** 4 - 36 * H(1) ** 2 * H(2)
+                         + 8 * H(1) * H(3) + 6 * H(2) ** 2 - H(4))
+    assert b_poly(5) == (120 * H(1) ** 5 - 240 * H(1) ** 3 * H(2)
+                         + 60 * H(1) ** 2 * H(3) + 90 * H(1) * H(2) ** 2
+                         - 10 * H(1) * H(4) - 20 * H(2) * H(3) + H(5))
 
 
 def test_H_from_a_reference_rows():
@@ -157,15 +158,15 @@ def test_H_from_a_matches_complete_bell():
 
 
 def test_a_from_H_reference_rows():
-    assert hbasis.a_from_H(1) == H(1)
-    assert hbasis.a_from_H(2) == H(1) ** 2 - H(2)
-    assert hbasis.a_from_H(3) == 2 * H(1) ** 3 - 3 * H(1) * H(2) + H(3)
-    assert hbasis.a_from_H(4) == (6 * H(1) ** 4 - 12 * H(1) ** 2 * H(2)
-                                  + 4 * H(1) * H(3) + 3 * H(2) ** 2 - H(4))
-    assert hbasis.a_from_H(5) == (24 * H(1) ** 5 - 60 * H(1) ** 3 * H(2)
-                                  + 20 * H(1) ** 2 * H(3) + 30 * H(1) * H(2) ** 2
-                                  - 5 * H(1) * H(4) - 10 * H(2) * H(3) + H(5))
-    assert hbasis.a_from_H(6) == (
+    assert a_from_H(1) == H(1)
+    assert a_from_H(2) == H(1) ** 2 - H(2)
+    assert a_from_H(3) == 2 * H(1) ** 3 - 3 * H(1) * H(2) + H(3)
+    assert a_from_H(4) == (6 * H(1) ** 4 - 12 * H(1) ** 2 * H(2)
+                           + 4 * H(1) * H(3) + 3 * H(2) ** 2 - H(4))
+    assert a_from_H(5) == (24 * H(1) ** 5 - 60 * H(1) ** 3 * H(2)
+                           + 20 * H(1) ** 2 * H(3) + 30 * H(1) * H(2) ** 2
+                           - 5 * H(1) * H(4) - 10 * H(2) * H(3) + H(5))
+    assert a_from_H(6) == (
         120 * H(1) ** 6 - 360 * H(1) ** 4 * H(2) + 120 * H(1) ** 3 * H(3)
         - 30 * H(1) ** 2 * H(4) + 6 * H(1) * H(5) - H(6)
         + 270 * H(1) ** 2 * H(2) ** 2 - 120 * H(1) * H(2) * H(3)
@@ -178,7 +179,7 @@ def test_a6_bell_row_decomposition():
                                             + 10 * H(3) ** 2)
     combo = sum((((-1) ** (6 - j)) * factorial(j - 1) * exponential_bell(6, j, hseq)
                  for j in range(1, 7)), Poly())
-    assert combo == hbasis.a_from_H(6)
+    assert combo == a_from_H(6)
 
 
 def test_conversions_match_bell_sums():
@@ -190,17 +191,17 @@ def test_conversions_match_bell_sums():
         a_r = sum((((-1) ** (r - j)) * factorial(j - 1) * exponential_bell(r, j, hseq)
                    for j in range(1, r + 1)), Poly())
         b_r = sum((exponential_bell(r, j, aseq) for j in range(1, r + 1)), Poly())
-        assert hbasis.a_from_H(r) == a_r, r
-        assert hbasis.b_from_a(r) == b_r, r
+        assert a_from_H(r) == a_r, r
+        assert b_from_a(r) == b_r, r
 
 
 def test_b_from_a_reference_rows():
-    assert hbasis.b_from_a(0) == Poly.const(1)
-    assert hbasis.b_from_a(2) == a(2) + a(1) ** 2
-    assert hbasis.b_from_a(3) == a(3) + 3 * a(1) * a(2) + a(1) ** 3
-    assert hbasis.b_from_a(4) == (a(4) + 4 * a(1) * a(3) + 3 * a(2) ** 2
-                                  + 6 * a(1) ** 2 * a(2) + a(1) ** 4)
-    assert hbasis.b_from_a(6) == (
+    assert b_from_a(0) == Poly.const(1)
+    assert b_from_a(2) == a(2) + a(1) ** 2
+    assert b_from_a(3) == a(3) + 3 * a(1) * a(2) + a(1) ** 3
+    assert b_from_a(4) == (a(4) + 4 * a(1) * a(3) + 3 * a(2) ** 2
+                           + 6 * a(1) ** 2 * a(2) + a(1) ** 4)
+    assert b_from_a(6) == (
         a(6) + 6 * a(1) * a(5) + 15 * a(2) * a(4) + 10 * a(3) ** 2
         + 15 * a(1) ** 2 * a(4) + 60 * a(1) * a(2) * a(3) + 15 * a(2) ** 3
         + 20 * a(1) ** 3 * a(3) + 45 * a(1) ** 2 * a(2) ** 2
@@ -210,7 +211,7 @@ def test_b_from_a_reference_rows():
 def test_round_trip_a_H():
     for r in range(1, 9):
         h_in_a = hbasis.H_from_a(r)
-        back = h_in_a.subs({i: hbasis.a_from_H(i) for i in range(1, r + 1)})
+        back = h_in_a.subs({i: a_from_H(i) for i in range(1, r + 1)})
         assert back == H(r), r
 
 
@@ -257,7 +258,7 @@ def test_generating_function_of_H():
 
 def test_second_derivative_of_H1_is_a3():
     # D^2 H_1 coincides with the third log-density derivative
-    assert hermite_derivative(1, 2) == hbasis.a_from_H(3)
+    assert hermite_derivative(1, 2) == a_from_H(3)
     assert hermite_derivative(2, 1) == H(1) * H(2) - H(3)
 
 
@@ -307,6 +308,6 @@ def test_ladders_match_reference():
     c, b = Poly.const(1), Poly.const(1)
     for k in range(1, 10):
         assert hbasis.c_function(k) == c, k
-        assert hbasis.b_poly(k - 1) == b, k - 1
+        assert b_poly(k - 1) == b, k - 1
         c = H(1) * c * k + ref_diff(c)
         b = H(1) * b + ref_diff(b)
