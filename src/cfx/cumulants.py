@@ -382,8 +382,10 @@ def model_gamma():
 def model_sample_variance(mu):
     """Sample-variance estimate: theta = mu_2, a21 = mu_4 - mu_2^2.
 
-    ``mu`` maps order -> central moment (orders 2..10 used).  Coefficients
-    above expansion order 3 are outside the model and raise ModelOrderError.
+    ``mu`` maps order -> central moment.  Orders 2..8 and 10 are read;
+    order 9 is accepted (a config may give orders 2..10) and not read.
+    Coefficients above expansion order 3 are outside the model and raise
+    ModelOrderError.
     """
     need = [2, 3, 4, 5, 6, 7, 8, 10]
     missing = [r for r in need if r not in mu]
@@ -497,9 +499,12 @@ def _model_from_fields(cfg):
     if kind == "lnF":
         return model_lnF(_int(cfg["n1"]), _int(cfg["n2"]))
     if kind == "sample_variance":
-        return model_sample_variance(
-            _unique(((_int(k), _num(v)) for k, v in cfg["mu"].items()),
-                    "moment order"))
+        mu = _unique(((_int(k), _num(v)) for k, v in cfg["mu"].items()),
+                     "moment order")
+        outside = sorted(k for k in mu if not 2 <= k <= 10)
+        if outside:
+            raise ModelError(f"moment orders {outside} are outside 2..10")
+        return model_sample_variance(mu)
     if kind == "studentized_mean":
         return model_studentized_mean(_num(cfg["nu3"]), _num(cfg.get("nu4")),
                                       _num(cfg.get("nu5")))

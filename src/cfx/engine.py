@@ -20,7 +20,7 @@ distribution, mapped into the estimate's own frame by ``ExpansionContext``,
 and the term-count accounting used to compare truncation strategies.
 
 The symbolic tables are built once (single-threaded) and cached immutable;
-evaluation calls are pure.
+evaluation calls are pure apart from filling their context's h series.
 """
 
 from __future__ import annotations
@@ -181,10 +181,9 @@ def e_r_standardized(kind, r, atable):
     return total
 
 
-def _density_e(r, atable, i):
-    """The order-r density-expansion polynomial: every H_k of the cdf
-    polynomial e_r^h (the constant H_0 included) raised to H_{k+i+1}."""
-    h = e_r_standardized("h", r, atable)
+def _density_e(h, i):
+    """The density-expansion polynomial of the cdf polynomial ``h`` = e_r^h:
+    every H_k of h (the constant H_0 included) raised to H_{k+i+1}."""
     return Poly({((mono[0] if mono else 0) + i + 1,): c
                  for mono, c in h.terms.items()})
 
@@ -220,7 +219,12 @@ class ExpansionContext:
     ``quantile_expand`` and ``density_expand`` answer in w; the methods
     ``quantile`` (theta^ units), ``cdf`` and ``density`` (Y units) answer
     for the estimate itself, on every base.  A raw context maps Y to w = Y
-    bit for bit."""
+    bit for bit.
+
+    The context builds each order's standardized h polynomial e_r^h the
+    first time a cdf or density asks for it, and keeps it (``h_series``).
+    That relies on ``atable`` not being mutated once the context is made.
+    The quantile's g series is still built per call."""
 
     def __init__(self, atable, n, base, theta, sigma, center, scale, sign=1,
                  tau=None, m=None):
@@ -237,6 +241,7 @@ class ExpansionContext:
         # w = slope * (y - y0): y0 is the Y value at which w = 0
         self._slope = sign * sigma / scale
         self._y0 = (center - sign * theta) / (sign * sigma)
+        self._h_series = {}
 
     @property
     def flipped(self):
@@ -318,6 +323,12 @@ class ExpansionContext:
         return _finite(dict(res, x=y, terms=[t * jacobian for t in res["terms"]],
                             value=res["value"] * jacobian))
 
+    def h_series(self, r):
+        """e_r^h for this context's atable, built on first use and kept."""
+        if r not in self._h_series:
+            self._h_series[r] = e_r_standardized("h", r, self.atable)
+        return self._h_series[r]
+
     def series_terms(self, polys, x, R, pre):
         """pre * n^{-r/2} * e_r(x) for r = 1..R, where ``polys(r)`` is the
         order-r standardized polynomial in H."""
@@ -357,8 +368,7 @@ def cdf_expand(ctx, x, R):
         # every correction carries the factor p(x) = 0: no H-value is needed
         return {"x": x, "base": base_value, "terms": [0.0] * R,
                 "value": base_value}
-    terms = ctx.series_terms(
-        lambda r: e_r_standardized("h", r, ctx.atable), x, R, -px)
+    terms = ctx.series_terms(ctx.h_series, x, R, -px)
     total = base_value
     for t in terms:
         total += t
@@ -403,7 +413,7 @@ def density_expand(ctx, x, i, R):
         return {"x": x, "i": i, "terms": [0.0] * (R + 1), "value": 0.0}
     base_term = 1.0 if i == 0 else float(ctx.base.h_seq(x, i)[i - 1])
     terms = [px * base_term] + ctx.series_terms(
-        lambda r: _density_e(r, ctx.atable, i), x, R, px)
+        lambda r: _density_e(ctx.h_series(r), i), x, R, px)
     total = terms[0]
     for t in terms[1:]:
         total += t

@@ -343,6 +343,11 @@ MALFORMED_MODEL_ARGS = [
     ["--model-json", '{"model": "gamma", "extra": 5}'],
     ["--model", "lnF", "--n1", "50", "--n2", "50", "--nu3", "5"],  # n = 50
     ["--model", "studentized_mean", "--nu3", "2", "--nu5", "44"],
+    ["--model", "sample_variance", "--mu", "1=7", "2=1", "3=2", "4=9", "5=44",
+     "6=265", "7=1854", "8=14833", "9=3", "10=1334961", "11=4"],
+    ["--model-json", '{"model": "sample_variance", "mu": {"2": 1, "3": 2, '
+     '"4": 9, "5": 44, "6": 265, "7": 1854, "8": 14833, "10": 1334961, '
+     '"11": 4}}'],
 ]
 
 

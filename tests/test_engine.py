@@ -402,11 +402,37 @@ def test_density_derivative_shift_structure():
     base = basedist.normal()
     x = 0.4
     for i in (0, 1, 2):
-        poly = engine._density_e(3, t, i)
+        poly = engine._density_e(engine.e_r_standardized("h", 3, t), i)
         hv = base.h_seq(x, 10)
         got = hbasis.hp_eval(poly, hv)
         want = (float(F(1, 2)) * hv[i + 1 - 1] + float(F(3)) / 6 * hv[i + 3 - 1])
         assert abs(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    lambda: lnf_ctx(),
+    lambda: engine.ExpansionContext.matched_gamma(
+        cumulants.model_lnF(60, 24), F(2 * 24 * 60, 84))],
+    ids=["raw-lnF24-60", "gamma-lnF60-24"])
+def test_h_series_built_once_per_context(make, monkeypatch):
+    # the context keeps e_r^h: 50 cdf and 50 density points at R = 8
+    # standardize each order once, and answer as a fresh context does when
+    # it walks the same points backwards, density first
+    def answers(ctx, points):
+        return {(kind, x): repr(engine.cdf_expand(ctx, x, 8) if kind == "cdf"
+                                else engine.density_expand(ctx, x, 0, 8))
+                for kind, x in points}
+
+    points = [(kind, -2.45 + 0.1 * k) for k in range(50)
+              for kind in ("cdf", "density")]
+    ctx, fresh = make(), make()
+    calls = []
+    build = engine.e_r_standardized
+    monkeypatch.setattr(engine, "e_r_standardized",
+                        lambda *a: calls.append(a[:2]) or build(*a))
+    got = answers(ctx, points)
+    assert sorted(calls) == [("h", r) for r in range(1, 9)]
+    assert got == answers(fresh, points[::-1])
 
 
 def test_density_all_zero_model():
@@ -519,8 +545,9 @@ def test_density_delta4_closed_form():
             (3, 3): F(5, 6), (4, 4): F(1, 2)}
     t.entries = dict(vals)
     for i in (0, 2):
-        full = engine._density_e(4, t, i)
-        lead = engine._density_e(4, _zero_correction_copy(t), i)
+        full = engine._density_e(engine.e_r_standardized("h", 4, t), i)
+        lead = engine._density_e(
+            engine.e_r_standardized("h", 4, _zero_correction_copy(t)), i)
         delta = full - lead
         ab = t.abar
         want = ((t.get(1, 1) * t.get(1, 2) + ab(2, 3)) * H(i + 2)
