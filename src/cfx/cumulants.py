@@ -130,11 +130,9 @@ class CumulantTable(_TableBase):
 class ATable(_TableBase):
     """Standardized coefficients A_{ri} = a_{ri}/a21^(r/2), with A_{10} = 0."""
 
-    def __init__(self, entries, defined="all", label="", theta=0, a21=1):
+    def __init__(self, entries, defined="all", label=""):
         super().__init__(entries, defined, label)
         self.entries.pop((1, 0), None)  # A_{10} = 0 by construction
-        self.theta = theta
-        self.a21 = a21
 
     def abar(self, r, i):
         """A_{ri}/r!, the factorial-normalized coefficient."""
@@ -150,15 +148,13 @@ class ATable(_TableBase):
 
 def standardize(table):
     """CumulantTable -> ATable via A_{ri} = a_{ri}/a21^{r/2}."""
-    a21 = table.a21
-    root = exact_sqrt(a21)
+    root = exact_sqrt(table.a21)
     out = {}
     for (r, i), v in table.entries.items():
         if (r, i) == (1, 0):
             continue
         out[(r, i)] = v / root ** r
-    return ATable(out, table.defined, label=(table.label or "table") + "~A",
-                  theta=table.theta, a21=a21)
+    return ATable(out, table.defined, label=(table.label or "table") + "~A")
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +209,7 @@ class _LazyATable(ATable):
     exactly when an unavailable source coefficient is touched, naming it."""
 
     def __init__(self, source, label):
-        super().__init__({}, source.defined, label=label, theta=source.theta,
-                         a21=source.a21)
+        super().__init__({}, source.defined, label=label)
         self._cache = {}
 
     def covers(self, r, i):

@@ -248,13 +248,13 @@ class ExpansionContext:
         return self.sign < 0
 
     @classmethod
-    def raw(cls, table, n, base=None):
+    def raw(cls, table, n):
         """The plain standardized estimate (no truncation tricks), expanded
-        about the given base (default normal)."""
+        about the normal base."""
         _check_n(n)
         theta = float(table.theta)
         sigma = math.sqrt(float(table.a21) / float(n))
-        return cls(cumulants.standardize(table), n, base or basedist.normal(),
+        return cls(cumulants.standardize(table), n, basedist.normal(),
                    theta, sigma, theta, sigma)
 
     @classmethod

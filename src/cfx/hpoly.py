@@ -77,9 +77,6 @@ class SparseMap:
     def const(cls, value):
         return cls({cls._unit: value})
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 

@@ -1,11 +1,12 @@
 """Independent verification paths.
 
-``reversion_fg`` re-derives the forward and inverse quantile-map polynomials
+``reversion`` re-derives the forward and inverse quantile-map polynomials
 from the cdf-correction polynomials alone: f by the Taylor shift of the base
-cdf, and g by series inversion of f, each from one growing Bell sequence.
-No inversion-ladder operators are involved, so exact agreement with the
-engine's tables is a genuine two-route check.  ``crk_recurrence`` does the
-same for the cdf-correction coefficients C_rk.
+cdf, and g by Lagrange-Bürmann inversion of f, both from one growing Bell
+sequence, over the formal tables (``reversion_fg``) or a model's
+standardized series.  No inversion-ladder operators are involved, so exact
+agreement with the engine's tables is a genuine two-route check.
+``crk_recurrence`` does the same for the cdf-correction coefficients C_rk.
 
 ``exact_lnF_quantile`` gives the reference quantile of half the log of an F
 ratio through the regularized incomplete beta, and ``mc_cdf`` estimates the
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 from . import basedist, hbasis
 from .bell import Seq, partial_ordinary_bell
@@ -33,13 +35,22 @@ from .partitions import Partition
 # ---------------------------------------------------------------------------
 
 def _b(seq_obj, r, k):
-    """b_{rk} = B^_{rk}/k! over a sequence of LPoly values, divided
-    exactly in the integers."""
-    return partial_ordinary_bell(r, k, seq_obj).exact_div(math.factorial(k))
+    """b_{rk} = B^_{rk}/k!, divided exactly in the integers over ``LPoly``
+    (the formal tables stay integer) and as rationals over ``Poly``."""
+    b = partial_ordinary_bell(r, k, seq_obj)
+    if isinstance(b, LPoly):
+        return b.exact_div(math.factorial(k))
+    return b * Fraction(1, math.factorial(k))
 
 
-def reversion_fg(R):
-    """(f_1..f_R, g_1..g_R) re-derived from (h_1..h_R) by reversion.
+def _d(p):
+    """D of a formal table (on every bracket's coefficient) or of a series."""
+    return p.map_values(hbasis.hp_diff) if isinstance(p, LPoly) else hbasis.hp_diff(p)
+
+
+def reversion(hs):
+    """(f_1..f_R, g_1..g_R) re-derived from (h_1..h_R) by reversion, over
+    the formal tables (``LPoly``) or a model's standardized series (``Poly``).
 
     Forward map: writing the cdf expansion as a Taylor shift of the base cdf
     and matching powers of the expansion parameter gives
@@ -47,39 +58,34 @@ def reversion_fg(R):
         sum_{k=1}^r b_{rk}(f) H_{k-1} = h_r,
 
     whose k = 1 term isolates f_r in terms of lower orders.  Inverse map:
-    with F = sum f_r eps^r and G = sum g_r eps^r, x - F(x) is the base
-    quantile of x and x + G(x) maps it back, so G(x) = F(x + G(x)); Taylor
-    expanding each f_s (symbolically, through the derivative rule) gives
+    with F = sum f_r eps^r, x - F(x) is the base quantile of x, and the
+    Lagrange-Bürmann theorem inverts y = x - F(x) as
+    x = y + sum_k D^{k-1}[F(y)^k]/k!, so
 
-        g_r = f_r + sum_{s<r} sum_{m=1}^{r-s} b_{r-s,m}(g) D^m f_s.
+        g_r = sum_{k=1}^r D^{k-1} b_{rk}(f)
+            = b_{r1} + D(b_{r2} + D(b_{r3} + ... + D b_{rr})),
 
-    Each b reads only lower orders, so f and g each grow one Bell sequence.
-    Everything stays in exact rational arithmetic; no floating point enters
-    this path.
+    r - 1 nested D passes over the b_{rk}(f) of the forward rule: both maps
+    read one Bell sequence.  Everything stays exact; no floating point
+    enters this path.
     """
-    fseq, gseq = Seq([]), Seq([])
-    fs, gs = [], []
-    # dfs[s - 1] holds f_s, D f_s, D^2 f_s, ..., one more at every order
-    dfs = []
-    for r in range(1, R + 1):
-        f = h_formal(r)
-        for k in range(2, r + 1):
-            term = _b(fseq, r, k)
-            if term:
-                f = f - term * hbasis.H(k - 1)
+    fseq, fs, gs = Seq([]), [], []
+    for r, h in enumerate(hs, 1):
+        bs = [_b(fseq, r, k) for k in range(2, r + 1)]  # read f_1..f_{r-1}
+        f = h
+        for k, b in enumerate(bs, 1):
+            f = f - b * hbasis.H(k)
         fseq.extend([f])
         fs.append(f)
-        dfs.append([f])
-
-        g = f
-        for s in range(1, r):
-            ds = dfs[s - 1]
-            ds.append(ds[-1].map_values(hbasis.hp_diff))
-            for m in range(1, r - s + 1):
-                g = g + _b(gseq, r - s, m) * ds[m]
-        gseq.extend([g])
-        gs.append(g)
+        gs.append(reduce(lambda inner, b_rk: b_rk + _d(inner), reversed([f] + bs)))
     return fs, gs
+
+
+def reversion_fg(R):
+    """``reversion`` of the formal tables h_1..h_R: lists of f_r and g_r as
+    integer-coefficient ``LPoly``, which must equal the operator ladder's
+    ``engine.fg_formal`` exactly."""
+    return reversion([h_formal(r) for r in range(1, R + 1)])
 
 
 # ---------------------------------------------------------------------------

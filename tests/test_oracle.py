@@ -3,6 +3,7 @@ quantiles, and the simulation oracle."""
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 import scipy.stats
@@ -33,6 +34,23 @@ def test_reversion_g3_spot():
     table = dict(gs[2].bracket_items())
     assert table[Partition.of(2, 3)] == (H(4) - H(1) * H(3) - H(2) ** 2
                                          + H(1) ** 2 * H(2))
+
+
+@pytest.mark.parametrize("matched, n1, n2, R", [
+    (False, 24, 60, 6),  # raw at R = 8 takes about 0.4 s more
+    (True, 60, 24, 8),
+], ids=["raw-lnF24_60", "matched-gamma-lnF60_24"])
+def test_reversion_of_standardized_series(matched, n1, n2, R):
+    # the second route for the standardized layer: reverting a model's
+    # standardized h series gives the standardized f and g series that the
+    # bracket sum reads from the ladder's tables
+    table, n = cumulants.model_lnF(n1, n2), Fraction(2 * n1 * n2, n1 + n2)
+    ctx = (engine.ExpansionContext.matched_gamma(table, n) if matched
+           else engine.ExpansionContext.raw(table, n))
+    fs, gs = oracle.reversion([ctx.h_series(r) for r in range(1, R + 1)])
+    for r in range(1, R + 1):
+        assert fs[r - 1] == engine.e_r_standardized("f", r, ctx.atable), f"f_{r}"
+        assert gs[r - 1] == engine.e_r_standardized("g", r, ctx.atable), f"g_{r}"
 
 
 def test_exact_lnF_quantile():
