@@ -1,10 +1,11 @@
 """Base distributions and the special functions behind them.
 
 Provides the evaluatable bundle every expansion needs from its base law X:
-pdf, cdf, inverse cdf, and the two derivative sequences a_r(x) (derivatives
-of -ln p) and H_r(x) (the generalized Hermite values).  Three bases are
-supported: the standard normal, the gamma with mean m (unit rate), and an
-affine transform X = (Y - mu)/sigma of another base.
+pdf, cdf, inverse cdf, and the generalized Hermite values H_r(x), whose
+``h_seq`` tables are prefix-stable (a longer table starts with the values of
+a shorter one, bit for bit).  Three bases are supported: the standard
+normal, the gamma with mean m (unit rate), and an affine transform
+X = (Y - mu)/sigma of another base.
 
 The special functions are implemented here rather than imported: regularized
 incomplete gamma (series below the diagonal, modified-Lentz continued
@@ -279,14 +280,6 @@ def inv_reg_inc_beta(a, b, p):
         0.5, 0.0, 1.0, 300, 1e-16, f"inverse incomplete beta a={a}, b={b}, p={p}")
 
 
-def falling_factorial(alpha, j):
-    """alpha (alpha-1) ... (alpha-j+1); exact when alpha is exact."""
-    out = alpha ** 0  # 1 in the right ring
-    for i in range(j):
-        out = out * (alpha - i)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # base distributions
 # ---------------------------------------------------------------------------
@@ -302,16 +295,6 @@ class NormalBase:
 
     def inv_cdf(self, p):
         return normal_inv_cdf(p)
-
-    def a_seq(self, x, rmax):
-        out = []
-        if rmax >= 1:
-            out.append(x)
-        if rmax >= 2:
-            out.append(1 if isinstance(x, Fraction) else 1.0)
-        zero = Fraction(0) if isinstance(x, Fraction) else 0.0
-        out.extend([zero] * max(0, rmax - 2))
-        return out
 
     def h_seq(self, x, rmax):
         # He_r(x) = x He_{r-1}(x) - (r-1) He_{r-2}(x)
@@ -361,29 +344,20 @@ class GammaBase:
     def inv_cdf(self, p):
         return inv_reg_inc_gamma(self.m, p)
 
-    def a_seq(self, y, rmax):
-        self._require_support(y)
-        ybar = -1 / (Fraction(y) if isinstance(y, (int, Fraction)) else y)
-        out = []
-        ypow = ybar
-        for r in range(1, rmax + 1):
-            val = math.factorial(r - 1) * self.alpha * ypow
-            if r == 1:
-                val = val + 1
-            out.append(val)
-            ypow = ypow * ybar
-        return out
-
     def h_seq(self, y, rmax):
         self._require_support(y)
         ybar = -1 / (Fraction(y) if isinstance(y, (int, Fraction)) else y)
+        # H_r = sum_j C(r, j) alpha^(j) ybar^j, with the falling factorials
+        # alpha^(j) and the powers ybar^j carried along j
+        falls, pows = [self.alpha ** 0], [ybar ** 0]
+        for j in range(rmax):
+            falls.append(falls[-1] * (self.alpha - j))
+            pows.append(pows[-1] * ybar)
         out = []
         for r in range(1, rmax + 1):
             total = 0
-            ypow = ybar ** 0
             for j in range(r + 1):
-                total = total + math.comb(r, j) * falling_factorial(self.alpha, j) * ypow
-                ypow = ypow * ybar
+                total = total + math.comb(r, j) * falls[j] * pows[j]
             out.append(total)
         return out
 
@@ -414,10 +388,6 @@ class AffineBase:
 
     def inv_cdf(self, p):
         return (self.inner.inv_cdf(p) - self.mu) / self.sigma
-
-    def a_seq(self, x, rmax):
-        inner = self.inner.a_seq(self._y(x), rmax)
-        return [self.sigma ** r * v for r, v in enumerate(inner, start=1)]
 
     def h_seq(self, x, rmax):
         inner = self.inner.h_seq(self._y(x), rmax)

@@ -20,7 +20,8 @@ distribution, mapped into the estimate's own frame by ``ExpansionContext``,
 and the term-count accounting used to compare truncation strategies.
 
 The symbolic tables are built once (single-threaded) and cached immutable;
-evaluation calls are pure apart from filling their context's h series.
+evaluation calls are pure apart from filling their context's h series, its
+float rows and its validated order.
 """
 
 from __future__ import annotations
@@ -183,7 +184,9 @@ def e_r_standardized(kind, r, atable):
 
 def _density_e(h, i):
     """The density-expansion polynomial of the cdf polynomial ``h`` = e_r^h:
-    every H_k of h (the constant H_0 included) raised to H_{k+i+1}."""
+    every H_k of h (the constant H_0 included) raised to H_{k+i+1}.  This is
+    the exact form of what ``density_expand`` reads from the float rows
+    with every index raised by i + 1."""
     return Poly({((mono[0] if mono else 0) + i + 1,): c
                  for mono, c in h.terms.items()})
 
@@ -222,9 +225,15 @@ class ExpansionContext:
     bit for bit.
 
     The context builds each order's standardized h polynomial e_r^h the
-    first time a cdf or density asks for it, and keeps it (``h_series``).
-    That relies on ``atable`` not being mutated once the context is made.
-    The quantile's g series is still built per call."""
+    first time a cdf or density asks for it, and keeps it (``h_series``),
+    with its float row (``h_row``): the (H index, float coefficient) pairs
+    of e_r^h, which is linear in H, in the polynomial's own term order.  A
+    cdf or density point is then one H-value table and a short dot product
+    per order (``series_terms``), bit for bit what evaluating e_r^h itself
+    gives.  The context also remembers the highest order that
+    ``cumulants.validate_for_order`` has passed.  All of this relies on
+    ``atable`` not being mutated once the context is made.  The quantile's
+    g series is still built per call."""
 
     def __init__(self, atable, n, base, theta, sigma, center, scale, sign=1,
                  tau=None, m=None):
@@ -242,6 +251,8 @@ class ExpansionContext:
         self._slope = sign * sigma / scale
         self._y0 = (center - sign * theta) / (sign * sigma)
         self._h_series = {}
+        self._h_rows = {}
+        self._valid_to = 0
 
     @property
     def flipped(self):
@@ -329,20 +340,46 @@ class ExpansionContext:
             self._h_series[r] = e_r_standardized("h", r, self.atable)
         return self._h_series[r]
 
-    def series_terms(self, polys, x, R, pre):
-        """pre * n^{-r/2} * e_r(x) for r = 1..R, where ``polys(r)`` is the
-        order-r standardized polynomial in H."""
+    def h_row(self, r):
+        """e_r^h as a float row: its (k, float(c)) pairs for c H_k, the
+        constant at k = 0, in the polynomial's term order."""
+        row = self._h_rows.get(r)
+        if row is None:
+            row = self._h_rows[r] = [(mono[0] if mono else 0, float(c))
+                                     for mono, c in self.h_series(r).terms.items()]
+        return row
+
+    def validate(self, R):
+        """``cumulants.validate_for_order`` at most once per order: a pass at
+        R covers every lower order, and a failure raises on every call."""
+        if R > self._valid_to:
+            cumulants.validate_for_order(self.atable, R)
+            self._valid_to = R
+
+    def series_terms(self, x, R, pre, shift=0, lead=None, polys=None):
+        """pre * n^{-r/2} * e_r(x) for r = 1..R, after pre * H_lead(x) when
+        ``lead`` is given (the density's leading term).
+
+        e_r is the h series, read from its float rows with every index
+        raised by ``shift``, or else ``polys[r - 1]`` (the quantile's g
+        series).  Every term reads one ``base.h_seq`` table, taken to the
+        largest index any order needs: h_seq is prefix-stable, so each
+        order reads the values a table of its own would hold."""
+        if polys is None:
+            evals = [self.h_row(r) for r in range(1, R + 1)]
+            top = max((k + shift for row in evals for k, _ in row), default=0)
+        else:
+            evals = polys
+            top = max((poly.max_index() for poly in polys), default=0)
+        if lead is not None:
+            top = max(top, lead)
+        hv = {0: 1.0}
+        if top:
+            hv.update(enumerate(map(float, self.base.h_seq(x, top)), 1))
+        terms = [] if lead is None else [pre * hv[lead]]
         nn = float(self.n)
-        terms = []
-        for r in range(1, R + 1):
-            poly = polys(r)
-            top = poly.max_index()
-            if top == 0:
-                er = float(poly.const_value())
-            else:
-                hvals = self.base.h_seq(x, top)
-                er = float(hbasis.hp_eval(poly, [float(v) for v in hvals]))
-            terms.append(pre * nn ** (-r / 2.0) * er)
+        for r, e in enumerate(evals, 1):
+            terms.append(pre * nn ** (-r / 2.0) * float(hbasis.hp_eval(e, hv, shift)))
         return terms
 
 
@@ -360,7 +397,7 @@ def cdf_expand(ctx, x, R):
     if not math.isfinite(x):
         raise basedist.DomainError(f"x = {x} is not finite")
     _check_order(R)
-    cumulants.validate_for_order(ctx.atable, R)
+    ctx.validate(R)
     base_value = ctx.base.cdf(x)
     px = ctx.base.pdf(x)
     if not px:
@@ -368,7 +405,7 @@ def cdf_expand(ctx, x, R):
         # every correction carries the factor p(x) = 0: no H-value is needed
         return {"x": x, "base": base_value, "terms": [0.0] * R,
                 "value": base_value}
-    terms = ctx.series_terms(ctx.h_series, x, R, -px)
+    terms = ctx.series_terms(x, R, -px)
     total = base_value
     for t in terms:
         total += t
@@ -383,11 +420,11 @@ def quantile_expand(ctx, p, R, exact=None):
     (total - exact) is included.
     """
     _check_order(R)
-    cumulants.validate_for_order(ctx.atable, R)
+    ctx.validate(R)
     x = ctx.base.inv_cdf(p)  # checks 0 < p < 1
     total = ctx.center + ctx.scale * x
-    terms = [total] + ctx.series_terms(
-        lambda r: e_r_standardized("g", r, ctx.atable), x, R, ctx.scale)
+    gs = [e_r_standardized("g", r, ctx.atable) for r in range(1, R + 1)]
+    terms = [total] + ctx.series_terms(x, R, ctx.scale, polys=gs)
     rows = []
     for r, term in enumerate(terms):
         if r > 0:
@@ -407,13 +444,11 @@ def density_expand(ctx, x, i, R):
     if not math.isfinite(x):
         raise basedist.DomainError(f"x = {x} is not finite")
     _check_order(R)
-    cumulants.validate_for_order(ctx.atable, R)
+    ctx.validate(R)
     px = ctx.base.pdf(x)
     if not px:
         return {"x": x, "i": i, "terms": [0.0] * (R + 1), "value": 0.0}
-    base_term = 1.0 if i == 0 else float(ctx.base.h_seq(x, i)[i - 1])
-    terms = [px * base_term] + ctx.series_terms(
-        lambda r: _density_e(ctx.h_series(r), i), x, R, px)
+    terms = ctx.series_terms(x, R, px, shift=i + 1, lead=i)
     total = terms[0]
     for t in terms[1:]:
         total += t

@@ -74,15 +74,26 @@ def hp_diff(p):
     return _h1_plus_d(p, 0, 1)
 
 
-def hp_eval(p, values):
+def hp_eval(p, values, shift=0):
     """Evaluate a polynomial in H at numeric H-values.
 
     ``values`` maps r -> H_r(x): a dict, or a list/tuple holding H_1..H_max
     (1-indexed via a Seq wrapper).  A missing index raises, never defaults.
+
+    ``p`` is a Poly, or the float row of a polynomial linear in H: its
+    (k, c) pairs for c H_k in the polynomial's term order, read with every
+    index raised by ``shift``, so a constant kept at k = 0 reads values[0]
+    (H_0 = 1).  A row multiplies and adds as ``Poly.eval`` does the exact
+    coefficients it was made from, since Fraction * float is float(c) * v.
     """
     if isinstance(values, (list, tuple)):
         values = bell.Seq(values)
-    return p.eval(values)
+    if isinstance(p, Poly):
+        return p.eval(values)
+    total = 0
+    for k, c in p:
+        total = c * values[k + shift] + total
+    return total
 
 
 # -- cached ladders ----------------------------------------------------------

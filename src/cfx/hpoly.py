@@ -185,9 +185,6 @@ class Poly(SparseMap):
             raise ValueError("indeterminate indices start at 1")
         return cls({(index,) * power: coeff})
 
-    def const_value(self):
-        return self.terms.get((), Fraction(0))
-
     def max_index(self):
         return max((m[-1] for m in self.terms if m), default=0)
 

@@ -58,20 +58,6 @@ class Partition:
             exp[p] = exp.get(p, 0) + 1
         return cls(exp)
 
-    @classmethod
-    def parse(cls, text):
-        """Parse the canonical text form, e.g. ``"1^2 3^2"``."""
-        exp = {}
-        for tok in text.split():
-            if "^" in tok:
-                part, mult = tok.split("^")
-                exp[int(part)] = exp.get(int(part), 0) + int(mult)
-            else:
-                exp[int(tok)] = exp.get(int(tok), 0) + 1
-        if not exp:
-            raise ValueError(f"empty partition text {text!r}")
-        return cls(exp)
-
     # -- views ---------------------------------------------------------------
 
     def items(self):

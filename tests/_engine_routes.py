@@ -7,18 +7,40 @@ forward and inverse quantile maps at fixed L values, to be mutual inverses.
 ``exponential_bell``, ``hermite_derivative`` and ``partitions_of`` are
 second routes to what the package computes by other recurrences;
 ``b_poly``, ``a_from_H`` and ``b_from_a`` are the conversions only these
-reference routes and the conversion tables use.
+reference routes and the conversion tables use, and ``a_seq`` gives a
+base's a-values for the a -> H conversion.  ``cdf_per_order``,
+``density_per_order`` and ``quantile_terms_per_order`` are the kernels'
+per-order route (a fresh H-value table per order, then ``hp_eval`` of the
+exact polynomial) that the context's float rows must match bit for bit,
+and ``gamma_h_seq_double_loop`` the gamma H-values with the falling
+factorial (``falling_factorial``) recomputed for every term.
+``parse_partition`` reads a partition's text form.
 """
 
+import math
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-from cfx import hbasis
+from cfx import basedist, engine, hbasis
 from cfx.bell import Seq, partial_ordinary_bell
 from cfx.engine import OrderError, coefficient_lookup, fg_formal
 from cfx.hpoly import Poly
 from cfx.partitions import Partition, bracket_series_coeff
+
+
+def parse_partition(text):
+    """Parse the canonical text form of a partition, e.g. ``"1^2 3^2"``."""
+    exp = {}
+    for tok in text.split():
+        if "^" in tok:
+            part, mult = tok.split("^")
+            exp[int(part)] = exp.get(int(part), 0) + int(mult)
+        else:
+            exp[int(tok)] = exp.get(int(tok), 0) + 1
+    if not exp:
+        raise ValueError(f"empty partition text {text!r}")
+    return Partition(exp)
 
 
 def exponential_bell(r, j, x):
@@ -92,11 +114,11 @@ def nabla_r(r, atable):
 
 
 _NABLA_RE = {
-    4: ((Partition.parse("4^2"), 0),),
-    5: ((Partition.parse("4 5"), 0), (Partition.parse("3 4"), 1)),
-    6: ((Partition.parse("5^2"), 0), (Partition.parse("4 6"), 0),
-        (Partition.parse("4^3"), 0), (Partition.parse("4^2"), 1),
-        (Partition.parse("3 5"), 1), (Partition.parse("3^2"), 2)),
+    4: ((parse_partition("4^2"), 0),),
+    5: ((parse_partition("4 5"), 0), (parse_partition("3 4"), 1)),
+    6: ((parse_partition("5^2"), 0), (parse_partition("4 6"), 0),
+        (parse_partition("4^3"), 0), (parse_partition("4^2"), 1),
+        (parse_partition("3 5"), 1), (parse_partition("3^2"), 2)),
 }
 
 
@@ -158,3 +180,108 @@ def formal_series_maps(R, lvalues, base, n):
                        for r, gp in enumerate(gs))
 
     return F, G
+
+
+# ---------------------------------------------------------------------------
+# base H- and a-values, and the kernels' per-order evaluation route
+# ---------------------------------------------------------------------------
+
+def a_seq(base, x, rmax):
+    """a_1(x)..a_rmax(x), the derivatives of -ln p, of a normal, gamma or
+    affine base."""
+    if isinstance(base, basedist.AffineBase):
+        inner = a_seq(base.inner, base._y(x), rmax)
+        return [base.sigma ** r * v for r, v in enumerate(inner, start=1)]
+    if isinstance(base, basedist.GammaBase):
+        base._require_support(x)
+        ybar = -1 / (Fraction(x) if isinstance(x, (int, Fraction)) else x)
+        out = []
+        ypow = ybar
+        for r in range(1, rmax + 1):
+            val = math.factorial(r - 1) * base.alpha * ypow
+            if r == 1:
+                val = val + 1
+            out.append(val)
+            ypow = ypow * ybar
+        return out
+    out = []
+    if rmax >= 1:
+        out.append(x)
+    if rmax >= 2:
+        out.append(1 if isinstance(x, Fraction) else 1.0)
+    zero = Fraction(0) if isinstance(x, Fraction) else 0.0
+    out.extend([zero] * max(0, rmax - 2))
+    return out
+
+
+def falling_factorial(alpha, j):
+    """alpha (alpha-1) ... (alpha-j+1); exact when alpha is exact."""
+    out = alpha ** 0  # 1 in the right ring
+    for i in range(j):
+        out = out * (alpha - i)
+    return out
+
+
+def gamma_h_seq_double_loop(base, y, rmax):
+    """``GammaBase.h_seq`` with the falling factorial recomputed inside the
+    double loop: the same products, in the same order."""
+    ybar = -1 / (Fraction(y) if isinstance(y, (int, Fraction)) else y)
+    out = []
+    for r in range(1, rmax + 1):
+        total = 0
+        ypow = ybar ** 0
+        for j in range(r + 1):
+            total = total + math.comb(r, j) * falling_factorial(base.alpha, j) * ypow
+            ypow = ypow * ybar
+        out.append(total)
+    return out
+
+
+def _per_order_terms(ctx, polys, x, R, pre):
+    nn = float(ctx.n)
+    terms = []
+    for r in range(1, R + 1):
+        poly = polys(r)
+        top = poly.max_index()
+        if top == 0:
+            er = float(poly.coefficient(()))
+        else:
+            hvals = ctx.base.h_seq(x, top)
+            er = float(hbasis.hp_eval(poly, [float(v) for v in hvals]))
+        terms.append(pre * nn ** (-r / 2.0) * er)
+    return terms
+
+
+def cdf_per_order(ctx, x, R):
+    """``engine.cdf_expand`` by the per-order route."""
+    base_value = ctx.base.cdf(x)
+    px = ctx.base.pdf(x)
+    if not px:
+        return {"x": x, "base": base_value, "terms": [0.0] * R,
+                "value": base_value}
+    terms = _per_order_terms(ctx, ctx.h_series, x, R, -px)
+    total = base_value
+    for t in terms:
+        total += t
+    return {"x": x, "base": base_value, "terms": terms, "value": total}
+
+
+def density_per_order(ctx, x, i, R):
+    """``engine.density_expand`` by the per-order route."""
+    px = ctx.base.pdf(x)
+    if not px:
+        return {"x": x, "i": i, "terms": [0.0] * (R + 1), "value": 0.0}
+    base_term = 1.0 if i == 0 else float(ctx.base.h_seq(x, i)[i - 1])
+    terms = [px * base_term] + _per_order_terms(
+        ctx, lambda r: engine._density_e(ctx.h_series(r), i), x, R, px)
+    total = terms[0]
+    for t in terms[1:]:
+        total += t
+    return {"x": x, "i": i, "terms": terms, "value": total}
+
+
+def quantile_terms_per_order(ctx, p, R, gs):
+    """The terms of ``engine.quantile_expand`` by the per-order route,
+    with ``gs(r)`` the order-r standardized g polynomial."""
+    x = ctx.base.inv_cdf(p)
+    return [ctx.center + ctx.scale * x] + _per_order_terms(ctx, gs, x, R, ctx.scale)

@@ -11,6 +11,8 @@ import scipy.stats
 
 from cfx import basedist, hbasis
 
+import _engine_routes as routes
+
 
 def test_normal_cdf_inv_roundtrip():
     grid = [1e-6, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-4, 1 - 1e-6]
@@ -90,7 +92,7 @@ def test_domain_errors():
     with pytest.raises(basedist.DomainError):
         basedist.reg_inc_gamma(2.0, -0.5)
     with pytest.raises(basedist.DomainError):
-        basedist.gamma(2.0).a_seq(-0.3, 4)  # singular side, never clamped
+        routes.a_seq(basedist.gamma(2.0), -0.3, 4)  # singular side, never clamped
     with pytest.raises(basedist.DomainError):
         basedist.affine(basedist.gamma(2.0), 0.0, 1.0).h_seq(-0.5, 4)
     # the density is 0 off the support; at its boundary the corrections
@@ -102,7 +104,7 @@ def test_domain_errors():
 
 def test_normal_sequences():
     nb = basedist.normal()
-    assert nb.a_seq(1.5, 5) == [1.5, 1.0, 0.0, 0.0, 0.0]
+    assert routes.a_seq(nb, 1.5, 5) == [1.5, 1.0, 0.0, 0.0, 0.0]
     hv = nb.h_seq(2.0, 3)
     assert hv[0] == 2.0 and hv[1] == 3.0 and hv[2] == 2.0  # He3(2) = 8 - 6
 
@@ -129,7 +131,7 @@ def test_gamma_sequences_closed_forms():
     y = F(5, 2)
     alpha = m - 1
     ybar = -1 / y
-    av = g.a_seq(y, 4)
+    av = routes.a_seq(g, y, 4)
     assert av[0] == 1 + alpha * ybar
     assert av[1] == alpha / y ** 2
     assert av[2] == 2 * alpha * ybar ** 3
@@ -142,7 +144,7 @@ def test_gamma_a_h_consistency_via_conversion():
     # numeric H from the closed form matches the a -> H conversion
     g = basedist.gamma(3.5)
     y = 2.2
-    av = g.a_seq(y, 8)
+    av = routes.a_seq(g, y, 8)
     hv = g.h_seq(y, 8)
     for r in range(1, 9):
         conv = hbasis.hp_eval(hbasis.H_from_a(r), av)
@@ -163,6 +165,30 @@ def test_h_recurrence_numeric():
             assert abs(hv[r - 1] - want) <= 1e-6 * max(1.0, abs(hv[r - 1])), r
 
 
+def test_h_seq_prefix_stable():
+    # a shorter table is the start of a longer one, bit for bit, in floats
+    # and in Fractions: one table per point serves every order
+    bases = [basedist.normal(), basedist.gamma(3.5), basedist.gamma(F(7, 2)),
+             basedist.standardized_gamma(48.0),
+             basedist.affine(basedist.gamma(F(5)), F(5), F(3, 2))]
+    for base in bases:
+        for x in (F(7, 10), F(13, 4), 0.7, 3.25):
+            full = base.h_seq(x, 24)
+            for k in range(25):
+                assert repr(base.h_seq(x, k)) == repr(full[:k]), (base, x, k)
+
+
+def test_gamma_h_seq_matches_double_loop():
+    # the falling factorials and powers of ybar carried along j give the
+    # values of the double loop that recomputes them, bit for bit
+    for m in (0.5, 3.0, 48.0, 1e3, 1e5, F(7, 2)):
+        g = basedist.gamma(m)
+        s = math.sqrt(m)
+        for y in (m / 4, abs(m - s), m, m + 2 * s, 0.3 * s + 0.01):
+            assert repr(g.h_seq(y, 36)) == \
+                repr(routes.gamma_h_seq_double_loop(g, y, 36)), (m, y)
+
+
 def test_affine_scaling():
     inner = basedist.gamma(4.0)
     ab = basedist.affine(inner, 4.0, 2.0)
@@ -170,8 +196,8 @@ def test_affine_scaling():
     y = 4.0 + 2.0 * x
     assert abs(ab.cdf(x) - inner.cdf(y)) < 1e-15
     assert abs(ab.pdf(x) - 2.0 * inner.pdf(y)) < 1e-15
-    a_in = inner.a_seq(y, 4)
-    a_out = ab.a_seq(x, 4)
+    a_in = routes.a_seq(inner, y, 4)
+    a_out = routes.a_seq(ab, x, 4)
     for r in range(1, 5):
         assert abs(a_out[r - 1] - 2.0 ** r * a_in[r - 1]) < 1e-12
     h_in = inner.h_seq(y, 4)
@@ -215,7 +241,7 @@ def test_gamma_c_function_golden_values():
             total = Poly()
             for j in range(r + 1):
                 total = total + (yb ** j) * (
-                    basedist.falling_factorial(alpha, j) * F(math.comb(r, j)))
+                    routes.falling_factorial(alpha, j) * F(math.comb(r, j)))
             out.append(total)
         return out
 

@@ -218,8 +218,8 @@ def test_export_json_stable():
     doc = engine.export_table_json("g", 2, basis="x")
     assert doc["kind"] == "g" and doc["r"] == 2
     texts = [t["partition"] for t in doc["terms"]]
-    assert texts == sorted(texts, key=lambda s: (Partition.parse(s).size,
-                                                 Partition.parse(s).parts()))
+    assert texts == sorted(texts, key=lambda s: (routes.parse_partition(s).size,
+                                                 routes.parse_partition(s).parts()))
     import json
     json.dumps(doc)  # serializable
     assert doc == engine.export_table_json("g", 2, basis="x")
@@ -409,15 +409,19 @@ def test_density_derivative_shift_structure():
         assert abs(got - want) < 1e-12
 
 
-@pytest.mark.parametrize("make", [
+CONTEXTS = [
     lambda: lnf_ctx(),
     lambda: engine.ExpansionContext.matched_gamma(
-        cumulants.model_lnF(60, 24), F(2 * 24 * 60, 84))],
-    ids=["raw-lnF24-60", "gamma-lnF60-24"])
+        cumulants.model_lnF(60, 24), F(2 * 24 * 60, 84))]
+CONTEXT_IDS = ["raw-lnF24-60", "gamma-lnF60-24"]
+
+
+@pytest.mark.parametrize("make", CONTEXTS, ids=CONTEXT_IDS)
 def test_h_series_built_once_per_context(make, monkeypatch):
-    # the context keeps e_r^h: 50 cdf and 50 density points at R = 8
-    # standardize each order once, and answer as a fresh context does when
-    # it walks the same points backwards, density first
+    # the context keeps e_r^h and its float row: 50 cdf and 50 density
+    # points at R = 8 standardize each order once, build each row once,
+    # validate the model's order once, and answer as a fresh context does
+    # when it walks the same points backwards, density first
     def answers(ctx, points):
         return {(kind, x): repr(engine.cdf_expand(ctx, x, 8) if kind == "cdf"
                                 else engine.density_expand(ctx, x, 0, 8))
@@ -426,13 +430,71 @@ def test_h_series_built_once_per_context(make, monkeypatch):
     points = [(kind, -2.45 + 0.1 * k) for k in range(50)
               for kind in ("cdf", "density")]
     ctx, fresh = make(), make()
-    calls = []
+    calls, rows, checks = [], {}, []
     build = engine.e_r_standardized
     monkeypatch.setattr(engine, "e_r_standardized",
                         lambda *a: calls.append(a[:2]) or build(*a))
+    h_row = engine.ExpansionContext.h_row
+    monkeypatch.setattr(engine.ExpansionContext, "h_row",
+                        lambda self, r: rows.setdefault((id(self), r), []).append(
+                            h_row(self, r)) or rows[id(self), r][-1])
+    validate = cumulants.validate_for_order
+    monkeypatch.setattr(cumulants, "validate_for_order",
+                        lambda *a: checks.append(a[1]) or validate(*a))
     got = answers(ctx, points)
     assert sorted(calls) == [("h", r) for r in range(1, 9)]
+    assert checks == [8]
+    assert sorted(r for _, r in rows) == list(range(1, 9))
+    assert all(len(built) == 100 and all(row is built[0] for row in built)
+               for built in rows.values())
     assert got == answers(fresh, points[::-1])
+
+    # a table that lacks an order-2 coefficient: order 1 passes once and
+    # is remembered, order 2 raises on every call
+    short = cumulants.CumulantTable(F(0), F(1), {(1, 1): F(1, 3)},
+                                    defined={(1, 1), (3, 2)}, label="short")
+    sctx = engine.ExpansionContext.raw(short, 50)
+    checks.clear()
+    for _ in range(3):
+        engine.cdf_expand(sctx, 0.3, 1)
+        for kernel in (lambda: engine.cdf_expand(sctx, 0.3, 2),
+                       lambda: engine.density_expand(sctx, 0.3, 1, 2),
+                       lambda: engine.quantile_expand(sctx, 0.3, 2)):
+            with pytest.raises(cumulants.ModelOrderError):
+                kernel()
+    assert checks == [1] + [2] * 9
+
+
+@pytest.mark.parametrize("make", CONTEXTS, ids=CONTEXT_IDS)
+def test_float_rows_match_per_order_route(make, monkeypatch):
+    # every cdf, density (i = 0, 1, 2) and quantile answer read from the
+    # float rows and one H-value table per point is bit for bit the answer
+    # of a fresh h_seq table and an exact-polynomial hp_eval per order, on
+    # a grid with points off the gamma support and where p(x) underflows;
+    # the g polynomials are standardized once and shared by both routes
+    ctx = make()
+    xs = [-6.0 + 0.5 * k for k in range(25)] + [0.05, -0.0]
+    if ctx.base.kind == "normal":
+        xs += [37.0, -38.0, 38.5, 39.0, -40.0]
+    else:
+        xs += [-20.0, -14.0, -13.6, -13.5, -13.0, -12.5, 30.0, 60.0, 100.0]
+    for R in range(1, 11):
+        for x in xs:
+            assert repr(engine.cdf_expand(ctx, x, R)) == \
+                repr(routes.cdf_per_order(ctx, x, R)), (R, x)
+            for i in (0, 1, 2):
+                assert repr(engine.density_expand(ctx, x, i, R)) == \
+                    repr(routes.density_per_order(ctx, x, i, R)), (R, x, i)
+
+    gs = {}
+    build = engine.e_r_standardized
+    monkeypatch.setattr(engine, "e_r_standardized",
+                        lambda kind, r, t: gs.get(r) or gs.setdefault(r, build(kind, r, t)))
+    for R in range(1, 11):
+        for p in (0.01, 0.05, 0.3, 0.5, 0.7, 0.95, 0.99):
+            rows = engine.quantile_expand(ctx, p, R)["rows"]
+            assert repr([row["term"] for row in rows]) == repr(
+                routes.quantile_terms_per_order(ctx, p, R, gs.get)), (R, p)
 
 
 def test_density_all_zero_model():
