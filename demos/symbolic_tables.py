@@ -17,12 +17,14 @@ for pi, val in engine.coefficient_table("g", 2):
     print(f"  g({pi.text()}) = {val.text()}")
 
 print("\nThe same, specialized to the standard normal base (polynomials in x):")
-for pi, val in engine.coefficient_table("g", 2, basis="x"):
-    print(f"  g({pi.text()}) = {val.text('x')}")
+for pi, val in engine.coefficient_table("g", 2):
+    spec = hbasis.normal_specialize(val)
+    if spec:
+        print(f"  g({pi.text()}) = {spec.text('x')}")
 
 print("\nAnd in the log-density derivative symbols:")
-for pi, val in engine.coefficient_table("g", 2, basis="a"):
-    print(f"  g({pi.text()}) = {val.text('a')}")
+for pi, val in engine.coefficient_table("g", 2):
+    print(f"  g({pi.text()}) = {hbasis.to_a_basis(val).text('a')}")
 
 print("\nThe inversion ladder behind f_r (symbolic, exact):")
 for k in range(1, 6):

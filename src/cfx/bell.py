@@ -50,12 +50,8 @@ class Seq:
         return self._values[r - 1]
 
 
-def _as_seq(y):
-    return y if isinstance(y, Seq) else Seq(y)
-
-
 def partial_ordinary_bell(r, j, y):
-    """B^_{rj}(y): coefficient of t^r in (sum y_k t^k)^j.
+    """B^_{rj}(y) for a ``Seq`` y: coefficient of t^r in (sum y_k t^k)^j.
 
     Zero for r < j; the j = 0 row is the unit series.  Computed by the
     convolution recurrence B^_{r,j+1} = sum_{a=j}^{r-1} B^_{aj} y_{r-a},
@@ -67,7 +63,6 @@ def partial_ordinary_bell(r, j, y):
         return 1 if r == 0 else 0
     if r < j:
         return 0
-    y = _as_seq(y)
     if len(y) < r - j + 1:
         raise SeqLengthError(
             f"B^_{{{r},{j}}} needs {r - j + 1} coefficients, have {len(y)}"

@@ -275,11 +275,11 @@ def run_validation(deep=False):
 
     # symbolic spot values
     H = hbasis.H
-    f4 = engine.coefficient_lookup("f", 4)
+    f4 = dict(engine.coefficient_table("f", 4))
     from .partitions import Partition
     checks.append(oracle.check(
         "f(4^2)", H(7) - H(1) * H(3) ** 2, f4[Partition.of(4, 4)]))
-    g3 = engine.coefficient_lookup("g", 3)
+    g3 = dict(engine.coefficient_table("g", 3))
     checks.append(oracle.check(
         "g(34)", H(6) - H(2) * H(4) - H(3) ** 2 + H(1) * H(2) * H(3),
         g3[Partition.of(3, 4)]))

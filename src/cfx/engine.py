@@ -6,7 +6,11 @@ polynomials f_r and inverse quantile-map polynomials g_r, all represented as
 L_2, ... whose coefficients are exact polynomials in the generalized-Hermite
 symbols.  h_r comes from the weighted-partition decomposition; f_r and g_r
 come from the inversion ladder (the c-functions and J-operators of
-``hbasis``) applied to Bell polynomials in the h-sequence.
+``hbasis``) applied to Bell polynomials in the h-sequence.  A table's
+brackets are read through ``coefficient_table(kind, r)``, its (partition,
+coefficient in H) pairs sorted once per table; the a-basis and normal forms
+are made from those pairs where they are read (``export_table_json``, and
+``term_count`` for the normal base).
 
 Standardized layer: substituting each L_k by its power series in 1/n, read
 from the model's ``cumulants.ATable`` through the series protocol of
@@ -27,6 +31,7 @@ float rows and its validated order.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 from . import basedist, cumulants, hbasis
 from .bell import Seq, partial_ordinary_bell
@@ -117,36 +122,21 @@ def fg_formal(kind, r):
     return _fg_cache[key]
 
 
-def coefficient_table(kind, r, basis="H"):
-    """The pairs (partition, e(partition)) of the order-r expansion.
-
-    ``basis``: "H" for the raw symbolic form, "a" for the log-density
-    derivative form, "x" for the normal specialization (polynomial in x).
-    Partitions whose coefficient is identically zero are omitted.
-    """
-    table = fg_formal(kind, r).bracket_items()
-    if basis == "H":
-        return table
-    if basis == "a":
-        return [(pi, hbasis.to_a_basis(val)) for pi, val in table]
-    if basis == "x":
-        out = []
-        for pi, val in table:
-            spec = hbasis.normal_specialize(val)
-            if spec:
-                out.append((pi, spec))
-        return out
-    raise ValueError(f"unknown basis {basis!r}")
-
-
-def coefficient_lookup(kind, r, basis="H"):
-    return {pi: val for pi, val in coefficient_table(kind, r, basis)}
+@cache
+def coefficient_table(kind, r):
+    """The pairs (partition, e(partition)) of the order-r table, e in H,
+    sorted by partition: built once per table and kept for the process, as
+    the table itself is.  Partitions whose coefficient is identically zero
+    are omitted; ``dict(coefficient_table(kind, r))`` looks one up."""
+    return tuple(fg_formal(kind, r).bracket_items())
 
 
 def export_table_json(kind, r, basis="H"):
-    """Stable JSON document for one symbolic coefficient table."""
+    """Stable JSON document for one symbolic coefficient table; ``basis``
+    "a" or "x" adds each coefficient's a-basis form or normal
+    specialization (a polynomial in x) beside its H form."""
     terms = []
-    for pi, val in coefficient_table(kind, r, "H"):
+    for pi, val in coefficient_table(kind, r):
         entry = {"partition": pi.text(), "coeff_H": val.text()}
         if basis == "a":
             entry["coeff_a"] = hbasis.to_a_basis(val).text("a")
@@ -480,9 +470,7 @@ def _pattern_atable(J, K, matched, rmax=14, imax=20):
                 or (matched and (r, i) == (3, 2))
             if not zero:
                 entries[(r, i)] = Poly.atom(100 * r + i)
-    table = cumulants.ATable({}, "all", label=f"pattern(J={J},K={K})")
-    table.entries = entries
-    return table
+    return cumulants.ATable(entries, "all", label=f"pattern(J={J},K={K})")
 
 
 def term_count(kind, r, J, K, matched=True, base="general", drop_multi3=False):

@@ -11,7 +11,10 @@ log-density-derivative symbols a_r comes from the complete Bell recurrence.
 
 Two indeterminate families share the Poly core: expressions "in H" and
 expressions "in a".  Conversions are explicit (``H_from_a``,
-``to_a_basis``); nothing converts implicitly.
+``to_a_basis``); nothing converts implicitly.  ``to_a_basis`` and
+``normal_specialize`` are each one ``Poly.eval`` with polynomial values: the
+a-expansions of H_r, and the normal base's own H-values He_r(x), read from
+``NormalBase.h_seq`` at the symbolic point x.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from functools import cache
 from math import comb
 
-from . import bell
+from .basedist import NormalBase
 from .hpoly import Poly
 
 
@@ -77,8 +80,8 @@ def hp_diff(p):
 def hp_eval(p, values, shift=0):
     """Evaluate a polynomial in H at numeric H-values.
 
-    ``values`` maps r -> H_r(x): a dict, or a list/tuple holding H_1..H_max
-    (1-indexed via a Seq wrapper).  A missing index raises, never defaults.
+    ``values`` maps r -> H_r(x), as for ``Poly.eval``; a missing index
+    raises, never defaults.
 
     ``p`` is a Poly, or the float row of a polynomial linear in H: its
     (k, c) pairs for c H_k in the polynomial's term order, read with every
@@ -86,13 +89,11 @@ def hp_eval(p, values, shift=0):
     (H_0 = 1).  A row multiplies and adds as ``Poly.eval`` does the exact
     coefficients it was made from, since Fraction * float is float(c) * v.
     """
-    if isinstance(values, (list, tuple)):
-        values = bell.Seq(values)
     if isinstance(p, Poly):
         return p.eval(values)
     total = 0
     for k, c in p:
-        total = c * values[k + shift] + total
+        total = total + c * values[k + shift]
     return total
 
 
@@ -134,29 +135,13 @@ def H_from_a(r):
 def to_a_basis(p):
     """Rewrite a polynomial in H as a polynomial in a, substituting each
     H_r by its a-expansion."""
-    mapping = {i: H_from_a(i) for i in set(idx for m in p.terms for idx in m)}
-    return p.subs(mapping)
+    return Poly() + p.eval({i: H_from_a(i) for i in range(1, p.max_index() + 1)})
 
 
 # -- normal specialization ----------------------------------------------------
 
-_he_cache = {0: Poly.const(1), 1: Poly.atom(1)}
-
-
-def hermite_x_poly(r):
-    """The probabilists' Hermite polynomial He_r as a polynomial in x
-    (atom index 1): He_r = x He_{r-1} - (r-1) He_{r-2}."""
-    if r < 0:
-        raise ValueError("index must be >= 0")
-    if r not in _he_cache:
-        _he_cache[r] = (
-            Poly.atom(1) * hermite_x_poly(r - 1)
-            - hermite_x_poly(r - 2) * (r - 1)
-        )
-    return _he_cache[r]
-
-
 def normal_specialize(p):
-    """Substitute H_r -> He_r(x), giving a univariate polynomial in x."""
-    mapping = {i: hermite_x_poly(i) for i in set(idx for m in p.terms for idx in m)}
-    return p.subs(mapping)
+    """Substitute H_r -> He_r(x), giving a univariate polynomial in x (atom
+    index 1): He_r is the normal base's H-value at the symbolic x."""
+    he = NormalBase().h_seq(Poly.atom(1), p.max_index())
+    return Poly() + p.eval(dict(enumerate(he, 1)))

@@ -10,10 +10,10 @@ its two subclasses differ only in how two keys multiply:
   log-density derivative symbols a_1, a_2, ..., and univariate polynomials
   (x, or 1/y for the gamma base); which family a polynomial lives in is
   decided by the code that builds it, and conversions between families are
-  explicit substitutions.  Its coefficients are whatever numbers the inputs
-  are: ``int`` stays ``int`` (the symbolic tables are integer in the bracket
-  basis), ``Fraction`` stays exact, and floats degrade gracefully to float
-  arithmetic.
+  explicit substitutions (``Poly.eval`` with Poly values).  Its
+  coefficients are whatever numbers the inputs are: ``int`` stays ``int``
+  (the symbolic tables are integer in the bracket basis), ``Fraction`` stays
+  exact, and floats degrade gracefully to float arithmetic.
 - ``LPoly`` keys are partitions read as brackets [pi] = prod_k L_k^{i_k}/i_k!
   in the adjusted-cumulant symbols, with ``Poly`` coefficients.  Brackets
   multiply with an integer factor, [pi][rho] = c [pi + rho] with
@@ -191,42 +191,24 @@ class Poly(SparseMap):
     def coefficient(self, mono):
         return self.terms.get(tuple(sorted(mono)), Fraction(0))
 
-    # -- structural maps ---------------------------------------------------
-
-    def subs(self, mapping):
-        """Substitute whole polynomials (or numbers) for atoms.
-
-        ``mapping`` maps index -> Poly | number; indices absent from the
-        mapping are left untouched.  Each (index, power) that occurs is
-        expanded once per call.
-        """
-        reps = {i: v if isinstance(v, Poly) else Poly.const(v) for i, v in mapping.items()}
-        powers = {}
-        out = {}
-        for mono, c in self.terms.items():
-            term = Poly.const(c)
-            for i in dict.fromkeys(mono):
-                k = mono.count(i)
-                if (i, k) not in powers:
-                    powers[i, k] = reps.get(i, Poly.atom(i)) ** k
-                term = term * powers[i, k]
-            _add_into(out, term.terms.items())
-        return Poly._new(out)
-
     def eval(self, values):
         """Evaluate with ``values[i]`` substituted for atom i.
 
         ``values`` is any object supporting ``values[i]`` for every index
         appearing in the polynomial (a dict, or a 1-indexed sequence wrapper);
         a missing index must raise, never default to zero.  Values may be
-        floats, Fractions, or any ring element supporting + and *.
+        floats, Fractions, or any ring element supporting + and *: with Poly
+        values this is substitution.  A polynomial without atoms gives its
+        bare constant (0 when it is zero), not a Poly.
         """
         total = 0
         for mono, c in self.terms.items():
             term = c
             for i in mono:
                 term = term * values[i]
-            total = term + total
+            # the total on the left: a Poly sum copies the left dict in C and
+            # adds the right one's monomials one by one
+            total = total + term
         return total
 
     # -- rendering ---------------------------------------------------------

@@ -4,8 +4,11 @@
 the truncated-and-matched zero pattern (nabla_r + nabla_re), to be equal to
 ``engine.e_r_standardized``; ``formal_series_maps`` evaluates the truncated
 forward and inverse quantile maps at fixed L values, to be mutual inverses.
-``exponential_bell``, ``hermite_derivative`` and ``partitions_of`` are
-second routes to what the package computes by other recurrences;
+``exponential_bell``, ``hermite_derivative``, ``partitions_of``,
+``hermite_x_poly`` (He_r by its own recurrence) and ``subs`` (substitution
+by expanded powers) are second routes to what the package computes by other
+recurrences, and ``normal_table`` and ``a_table`` give a table's normal
+specialization and a-basis form;
 ``b_poly``, ``a_from_H`` and ``b_from_a`` are the conversions only these
 reference routes and the conversion tables use, and ``a_seq`` gives a
 base's a-values for the a -> H conversion.  ``cdf_per_order``,
@@ -24,7 +27,7 @@ from math import comb, factorial
 
 from cfx import basedist, engine, hbasis
 from cfx.bell import Seq, partial_ordinary_bell
-from cfx.engine import OrderError, coefficient_lookup, fg_formal
+from cfx.engine import OrderError, fg_formal
 from cfx.hpoly import Poly
 from cfx.partitions import Partition, bracket_series_coeff
 
@@ -86,6 +89,57 @@ def hermite_derivative(r, k):
     return out
 
 
+_he_cache = {0: Poly.const(1), 1: Poly.atom(1)}
+
+
+def hermite_x_poly(r):
+    """The probabilists' Hermite polynomial He_r as a polynomial in x
+    (atom index 1): He_r = x He_{r-1} - (r-1) He_{r-2}."""
+    if r < 0:
+        raise ValueError("index must be >= 0")
+    if r not in _he_cache:
+        _he_cache[r] = (
+            Poly.atom(1) * hermite_x_poly(r - 1)
+            - hermite_x_poly(r - 2) * (r - 1)
+        )
+    return _he_cache[r]
+
+
+def subs(p, mapping):
+    """Substitute whole polynomials (or numbers) for atoms, expanding each
+    (index, power) that occurs once; indices absent from ``mapping`` are
+    left untouched."""
+    reps = {i: v if isinstance(v, Poly) else Poly.const(v) for i, v in mapping.items()}
+    powers = {}
+    out = Poly()
+    for mono, c in p.terms.items():
+        term = Poly.const(c)
+        for i in dict.fromkeys(mono):
+            k = mono.count(i)
+            if (i, k) not in powers:
+                powers[i, k] = reps.get(i, Poly.atom(i)) ** k
+            term = term * powers[i, k]
+        out = out + term
+    return out
+
+
+def normal_table(kind, r):
+    """{partition: coefficient as a polynomial in x} of the order-r table
+    specialized to the normal base, without the partitions whose
+    coefficient vanishes there."""
+    out = {}
+    for pi, val in engine.coefficient_table(kind, r):
+        spec = hbasis.normal_specialize(val)
+        if spec:
+            out[pi] = spec
+    return out
+
+
+def a_table(kind, r):
+    """{partition: coefficient in the a-symbols} of the order-r table."""
+    return {pi: hbasis.to_a_basis(val) for pi, val in engine.coefficient_table(kind, r)}
+
+
 def partitions_of(k):
     """Yield all partitions of k >= 1 as Partition objects, parts ascending."""
 
@@ -131,7 +185,7 @@ def nabla_re(kind, r, atable):
         raise OrderError(f"closed residual form only tabulated through r=6, got {r}")
     total = Poly()
     for pi, i in _NABLA_RE[r]:
-        table = coefficient_lookup(kind, pi.weight)
+        table = dict(engine.coefficient_table(kind, pi.weight))
         val = table.get(pi)
         if val is None:
             continue
@@ -167,7 +221,7 @@ def formal_series_maps(R, lvalues, base, n):
     kmax = 3 * R + 2
 
     def hv(x):
-        return [float(v) for v in base.h_seq(x, kmax)]
+        return Seq([float(v) for v in base.h_seq(x, kmax)])
 
     def F(x):
         vals = hv(x)
@@ -247,7 +301,7 @@ def _per_order_terms(ctx, polys, x, R, pre):
             er = float(poly.coefficient(()))
         else:
             hvals = ctx.base.h_seq(x, top)
-            er = float(hbasis.hp_eval(poly, [float(v) for v in hvals]))
+            er = float(hbasis.hp_eval(poly, Seq([float(v) for v in hvals])))
         terms.append(pre * nn ** (-r / 2.0) * er)
     return terms
 

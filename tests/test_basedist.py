@@ -10,6 +10,7 @@ import scipy.special
 import scipy.stats
 
 from cfx import basedist, hbasis
+from cfx.bell import Seq
 
 import _engine_routes as routes
 
@@ -147,7 +148,7 @@ def test_gamma_a_h_consistency_via_conversion():
     av = routes.a_seq(g, y, 8)
     hv = g.h_seq(y, 8)
     for r in range(1, 9):
-        conv = hbasis.hp_eval(hbasis.H_from_a(r), av)
+        conv = hbasis.hp_eval(hbasis.H_from_a(r), Seq(av))
         assert abs(conv - hv[r - 1]) <= 1e-10 * max(1.0, abs(hv[r - 1])), r
 
 

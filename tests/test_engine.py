@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cfx import basedist, cumulants, engine, hbasis, oracle
+from cfx.bell import Seq
 from cfx.hpoly import Poly
 from cfx.partitions import Partition
 
@@ -202,8 +203,8 @@ def test_g_normal_two_multiplication_law():
     for pi_parts in [(3, 3), (3, 4), (4, 4), (3, 3, 3), (3, 5), (3, 3, 4)]:
         pi = Partition.of(*pi_parts)
         pi2 = Partition.of(2, *pi_parts)
-        t1 = dict(engine.coefficient_table("g", pi.weight, basis="x"))
-        t2 = dict(engine.coefficient_table("g", pi2.weight, basis="x"))
+        t1 = routes.normal_table("g", pi.weight)
+        t2 = routes.normal_table("g", pi2.weight)
         assert t2[pi2] == (1 - pi.size) * t1[pi], pi.text()
 
 
@@ -404,7 +405,7 @@ def test_density_derivative_shift_structure():
     for i in (0, 1, 2):
         poly = engine._density_e(engine.e_r_standardized("h", 3, t), i)
         hv = base.h_seq(x, 10)
-        got = hbasis.hp_eval(poly, hv)
+        got = hbasis.hp_eval(poly, Seq(hv))
         want = (float(F(1, 2)) * hv[i + 1 - 1] + float(F(3)) / 6 * hv[i + 3 - 1])
         assert abs(got - want) < 1e-12
 
@@ -517,8 +518,8 @@ def test_normal_parity_of_h():
         poly = engine.e_r_standardized("h", r, t)
         sign = 1.0 if r % 2 else -1.0  # even(+) for odd r, odd(-) for even r
         for x in (0.4, 1.3):
-            up = hbasis.hp_eval(poly, base.h_seq(x, 20))
-            dn = hbasis.hp_eval(poly, base.h_seq(-x, 20))
+            up = hbasis.hp_eval(poly, Seq(base.h_seq(x, 20)))
+            dn = hbasis.hp_eval(poly, Seq(base.h_seq(-x, 20)))
             assert abs(dn - sign * up) < 1e-9 * max(1.0, abs(up)), (r, x)
 
 

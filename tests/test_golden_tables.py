@@ -12,13 +12,14 @@ from cfx import cli, engine, hbasis
 from cfx.partitions import Partition
 
 import golden_normal as gn
-from _engine_routes import parse_partition
+from _engine_routes import a_table, hermite_x_poly, normal_table, parse_partition
 
 H = hbasis.H
 
 
 def table(kind, r, basis="H"):
-    return {pi.text(): val for pi, val in engine.coefficient_table(kind, r, basis)}
+    pairs = normal_table(kind, r) if basis == "x" else dict(engine.coefficient_table(kind, r))
+    return {pi.text(): val for pi, val in pairs.items()}
 
 
 def test_f_suite_normal():
@@ -58,7 +59,7 @@ def test_f_falling_factorial_law():
             if pi.weight > 6:
                 continue
             got = table("f", pi.weight, basis="x")
-            want = hbasis.hermite_x_poly(k - j) * ((-1) ** j * falling_factorial(k, j))
+            want = hermite_x_poly(k - j) * ((-1) ** j * falling_factorial(k, j))
             if not want:
                 assert pi.text() not in got, pi.text()
             else:
@@ -73,7 +74,7 @@ def test_f_two_powers_law():
             ddf *= t
         pi = Partition({2: j})
         got = table("f", pi.weight, basis="x")
-        assert got[pi.text()] == (-1) ** (j - 1) * ddf * hbasis.hermite_x_poly(1), j
+        assert got[pi.text()] == (-1) ** (j - 1) * ddf * hermite_x_poly(1), j
 
 
 def test_g_two_ladder_law():
@@ -91,7 +92,7 @@ def test_g_two_ladder_law():
             if pi.weight > 6:
                 continue
             got = table("g", pi.weight, basis="x")
-            want = hbasis.hermite_x_poly(k - 1) * ((-1) ** i * nu(k, i))
+            want = hermite_x_poly(k - 1) * ((-1) ** i * nu(k, i))
             assert got[pi.text()] == want, pi.text()
 
 
@@ -161,20 +162,20 @@ def test_f35_and_g35():
 
 def test_a_basis_spot_values():
     a = hbasis.a_sym
-    f3a = dict(engine.coefficient_table("f", 3, basis="a"))
+    f3a = a_table("f", 3)
     assert f3a[Partition.of(1, 2)] == -a(2)
     assert f3a[Partition.of(1, 4)] == (-3 * a(1) ** 2 * a(2) + 3 * a(2) ** 2
                                        + 3 * a(1) * a(3) - a(4))
-    f4a = dict(engine.coefficient_table("f", 4, basis="a"))
+    f4a = a_table("f", 4)
     assert f4a[Partition.of(2, 2)] == -3 * a(1) * a(2) + a(3)
     assert f4a[parse_partition("1^2 2")] == a(3)
     assert f4a[Partition.of(2, 4)] == (-7 * a(1) ** 3 * a(2) + 15 * a(1) * a(2) ** 2
                                        + 9 * a(1) ** 2 * a(3) - 10 * a(2) * a(3)
                                        - 5 * a(1) * a(4) + a(5))
-    g3a = dict(engine.coefficient_table("g", 3, basis="a"))
+    g3a = a_table("g", 3)
     assert g3a[Partition.of(2, 3)] == (-2 * a(1) ** 2 * a(2) + 2 * a(2) ** 2
                                        + 3 * a(1) * a(3) - a(4))
-    g4a = dict(engine.coefficient_table("g", 4, basis="a"))
+    g4a = a_table("g", 4)
     assert g4a[Partition.of(2, 2)] == -a(1) * a(2) + a(3)
 
 

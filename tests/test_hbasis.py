@@ -11,7 +11,7 @@ from cfx import basedist, bell, engine, hbasis
 from cfx.hpoly import LPoly, Poly
 
 from _engine_routes import (a_from_H, b_from_a, b_poly, exponential_bell,
-                            hermite_derivative)
+                            hermite_derivative, hermite_x_poly, subs)
 
 H = hbasis.H
 a = hbasis.a_sym
@@ -40,9 +40,9 @@ def test_diff_matches_finite_difference():
                      (basedist.gamma(3.0), [0.8, 2.5])):
         for x in xs:
             def val(z, poly=p):
-                return hbasis.hp_eval(poly, base.h_seq(z, 4))
+                return hbasis.hp_eval(poly, bell.Seq(base.h_seq(z, 4)))
             num = (val(x + step) - val(x - step)) / (2 * step)
-            sym = hbasis.hp_eval(dp, base.h_seq(x, 4))
+            sym = hbasis.hp_eval(dp, bell.Seq(base.h_seq(x, 4)))
             assert abs(num - sym) <= 1e-6 * max(1.0, abs(sym))
 
 
@@ -211,7 +211,7 @@ def test_b_from_a_reference_rows():
 def test_round_trip_a_H():
     for r in range(1, 9):
         h_in_a = hbasis.H_from_a(r)
-        back = h_in_a.subs({i: a_from_H(i) for i in range(1, r + 1)})
+        back = h_in_a.eval({i: a_from_H(i) for i in range(1, r + 1)})
         assert back == H(r), r
 
 
@@ -232,17 +232,50 @@ def test_c_functions_in_a_basis():
 
 def test_eval_interfaces():
     p = H(2)
-    assert hbasis.hp_eval(p, [2.0, 3.0]) == 3.0
+    assert hbasis.hp_eval(p, bell.Seq([2.0, 3.0])) == 3.0
     with pytest.raises(bell.SeqLengthError):
-        hbasis.hp_eval(H(7) - 2 * H(3) * H(4), [1.0, 2.0])
-    assert hbasis.hp_eval(Poly.const(1), []) == 1
+        hbasis.hp_eval(H(7) - 2 * H(3) * H(4), bell.Seq([1.0, 2.0]))
+    assert hbasis.hp_eval(Poly.const(1), bell.Seq([])) == 1
 
 
 def test_normal_specialization():
     x = Poly.atom(1)
-    assert hbasis.hermite_x_poly(2) == x ** 2 - 1
-    assert hbasis.hermite_x_poly(3) == x ** 3 - 3 * x
+    assert hermite_x_poly(2) == x ** 2 - 1
+    assert hermite_x_poly(3) == x ** 3 - 3 * x
     assert hbasis.normal_specialize(H(3) - H(1) * H(2)) == -2 * x
+
+
+def test_normal_specialize_matches_hermite_recurrence():
+    # He_k from the normal base's h_seq at a symbolic x, against He_k by its
+    # own recurrence substituted by expanded powers, for k <= 24: single
+    # symbols, products with repeated indices, and constants
+    x = Poly.atom(1)
+    he = {k: hermite_x_poly(k) for k in range(1, 25)}
+    polys = [H(k) for k in range(1, 25)]
+    polys += [H(j) * H(k) for j in range(1, 25) for k in range(j, 25, 5)]
+    polys += [H(3) * H(4) ** 2 - 2 * H(1) ** 3 * H(24) + 5, H(12) ** 2 * H(11),
+              Poly.const(7), Poly()]
+    for p in polys:
+        got = hbasis.normal_specialize(p)
+        assert isinstance(got, Poly)
+        assert got == subs(p, he), p
+    assert hbasis.normal_specialize(H(1) ** 2 - H(2)) == Poly.const(1)
+    assert hbasis.normal_specialize(H(24)).max_index() == 1
+    assert hbasis.normal_specialize(H(2) * H(1)) == x ** 3 - x
+
+
+def test_to_a_basis_matches_substitution():
+    # H_r -> its a-expansion for r <= 12, against substitution by expanded
+    # powers: single symbols, products with repeated indices, constants
+    ha = {r: hbasis.H_from_a(r) for r in range(1, 13)}
+    polys = [H(r) for r in range(1, 13)]
+    polys += [H(2) ** 3 * H(5) - 4 * H(1) * H(1) * H(6) + 3, H(6) ** 2,
+              H(1) * H(12), Poly.const(F(2, 3)), Poly()]
+    polys += [hbasis.c_function(k) for k in range(1, 8)]
+    for p in polys:
+        got = hbasis.to_a_basis(p)
+        assert isinstance(got, Poly)
+        assert got == subs(p, ha), p
 
 
 def test_generating_function_of_H():
@@ -264,7 +297,7 @@ def test_second_derivative_of_H1_is_a3():
 
 def test_hp_eval_at_origin():
     p = H(7) - 2 * H(3) * H(4) + H(1) * H(3) ** 2
-    hv = basedist.normal().h_seq(0.0, 7)
+    hv = bell.Seq(basedist.normal().h_seq(0.0, 7))
     # He_odd(0) = 0, He_4(0) = 3
     assert hbasis.hp_eval(p, hv) == 0.0
     q = H(4) + H(2) * H(2)
