@@ -10,8 +10,9 @@ side runs first.  Every run is appended to ``BENCH_<tag>.json`` in the
 working tree, and the file's summary is rebuilt from all the runs it holds,
 so several calls (other workloads, other seeds, traced runs) add up to one
 record.  Per workload and seed, untraced runs give each side's median and
-quartiles of every end-to-end metric and the number of pairs the change
-wins; traced runs give the per-layer metrics of the last traced pair.  Keys
+quartiles of every end-to-end metric, the number of pairs the change wins
+and a verdict (``verdict``); traced runs give the per-layer metrics of the
+last traced pair.  Keys
 the script does not write (a description of the change, the claim) are
 kept as they are.
 """
@@ -64,11 +65,34 @@ def quartiles(values):
     return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
+def verdict(parent, change, better, bound):
+    """One metric's reading over paired runs, ``bound`` relative:
+
+    - "gain": the change wins at least 9 of 10 pairs, and its median beats
+      the parent's by more than the parent's interquartile range;
+    - "unresolved": the parent's own interquartile range is wider than the
+      bound, and some parent run is at least as good as some change run;
+    - otherwise "worse" when the change's median is worse than the parent's
+      by more than the bound, else "within bound"."""
+    sign = 1 if better == "higher" else -1
+    p, c = quartiles(parent), quartiles(change)
+    spread = p["q3"] - p["q1"]
+    wins = sum(sign * (cv - pv) > 0 for pv, cv in zip(parent, change))
+    ahead = sign * (c["median"] - p["median"])
+    if wins >= 0.9 * len(parent) and ahead > spread:
+        return "gain"
+    if (spread > bound * abs(p["median"])
+            and min(sign * v for v in change) <= max(sign * v for v in parent)):
+        return "unresolved"
+    return "worse" if -ahead > bound * abs(p["median"]) else "within bound"
+
+
 def summarize(runs, bench_spec):
     """Per workload and seed: each end-to-end metric's median and quartiles
     per side and the pairs the change wins (untraced runs), and the
     per-layer metrics of the last traced pair."""
     better = {m["name"]: m["better"] for m in bench_spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in bench_spec["end_to_end"]}
     summary, traced = {}, {}
     groups = {}
     for run in runs:
@@ -99,7 +123,9 @@ def summarize(runs, bench_spec):
             entry[metric] = {"parent": quartiles(values["parent"]),
                              "change": quartiles(values["change"]),
                              "change_wins": f"{wins} of {len(pairs)}",
-                             "better": direction}
+                             "better": direction,
+                             "verdict": verdict(values["parent"], values["change"],
+                                                direction, bound[metric])}
         entry["correct"] = all(run["result"]["correct"]
                                for pair in pairs for run in pair)
         entry["failed_share"] = {

@@ -31,11 +31,12 @@ float rows and its validated order.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import cache
 
 from . import basedist, cumulants, hbasis
 from .bell import Seq, partial_ordinary_bell
-from .hpoly import LPoly, Poly
+from .hpoly import LPoly, Poly, _add_into
 from .partitions import bracket_series_coeff, hset
 
 MAX_ORDER = 12
@@ -163,13 +164,26 @@ def e_r_standardized(kind, r, atable):
     """The order-r standardized expansion polynomial e_r(x), as a Poly in H:
     sum_i e_{r-2i,i}, where e_{s,i} collects the n^-i series coefficient of
     every bracket in the order-s formal table.  A (J, K)-truncated table
-    carries its zero pattern in its values."""
+    carries its zero pattern in its values.
+
+    The brackets add into one dict.  With every c exact, c = m/D over the
+    lcm D of the denominators, the integer table values v add as v*m in
+    ints, and each surviving monomial becomes Fraction(s, D) once; else
+    (floats, symbolic tables) each val*c adds in place.  Each monomial is
+    got, added and deleted as in a bracket-by-bracket Fraction sum, so the
+    terms keep that sum's order, which float evaluation sums in."""
     _check_order(r)
-    total = Poly()
-    for _, _, val, c in _bracket_sum(kind, r, atable):
-        if c:
-            total = total + val * c
-    return total
+    pairs = [(val, c) for _, _, val, c in _bracket_sum(kind, r, atable) if c]
+    out = {}
+    if not all(isinstance(c, (int, Fraction)) for _, c in pairs):
+        for val, c in pairs:
+            _add_into(out, (val * c).terms.items())
+        return Poly._new(out)
+    D = math.lcm(*(c.denominator for _, c in pairs))
+    for val, c in pairs:
+        m = c.numerator * (D // c.denominator)
+        _add_into(out, ((key, v * m) for key, v in val.terms.items()))
+    return Poly._new({key: Fraction(s, D) for key, s in out.items()})
 
 
 def _density_e(h, i):
@@ -374,9 +388,18 @@ class ExpansionContext:
 
 
 def _finite(res):
+    """``res``, checked finite, with its value's and terms' exact zeros made
+    +0.0 (x + 0.0 is x otherwise): -p(x), a mirror or a negative slope
+    times zero is -0.0, which prints with its sign."""
     if not math.isfinite(res["value"]):
         raise basedist.NumericError(f"the expansion evaluated to {res['value']}")
-    return res
+    out = dict(res, value=res["value"] + 0.0)
+    if "terms" in res:
+        out["terms"] = [t + 0.0 for t in res["terms"]]
+    if "rows" in res:
+        out["rows"] = [{k: v if k == "order" else v + 0.0 for k, v in row.items()}
+                       for row in res["rows"]]
+    return out
 
 
 def cdf_expand(ctx, x, R):

@@ -17,7 +17,9 @@ per-order route (a fresh H-value table per order, then ``hp_eval`` of the
 exact polynomial) that the context's float rows must match bit for bit,
 and ``gamma_h_seq_double_loop`` the gamma H-values with the falling
 factorial (``falling_factorial``) recomputed for every term.
-``parse_partition`` reads a partition's text form.
+``parse_partition`` reads a partition's text form.  ``e_r_by_bracket`` is
+the standardized expansion summed one bracket at a time in Fractions, a new
+polynomial per bracket, whose term order ``engine.e_r_standardized`` keeps.
 """
 
 import math
@@ -153,6 +155,16 @@ def partitions_of(k):
             acc.pop()
 
     yield from rec(k, 1, [])
+
+
+def e_r_by_bracket(kind, r, atable):
+    """e_r(x) as the sum over brackets of e(pi) times the n^-i series
+    coefficient of [pi], one ``Poly`` addition per bracket."""
+    total = Poly()
+    for _, _, val, c in engine._bracket_sum(kind, r, atable):
+        if c:
+            total = total + val * c
+    return total
 
 
 def nabla_r(r, atable):

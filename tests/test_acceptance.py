@@ -462,8 +462,11 @@ def test_gamma_base_accuracy_claim():
 def test_gamma_model_on_its_own_base(capsys):
     """The scaled gamma estimate is its own matched base, so every
     correction vanishes: ``cfx quantile|cdf|density --model gamma --n 10
-    --base gamma`` gives exactly 0.0 for every term of order 1..8, and the
-    total is the exact answer for G/m, G ~ Gamma(m = 10).  Runtime < 5 s."""
+    --base gamma`` gives exactly +0.0 for every term of order 1..8, and the
+    total is the exact answer for G/m, G ~ Gamma(m = 10).  The mirrored
+    estimate -G/m, expanded about the same base after its sign flip, gives
+    +0.0 terms too: no zero keeps the sign of -p(x), of the mirror or of a
+    negative slope.  Runtime < 5 s."""
     import json
 
     import scipy.stats
@@ -480,24 +483,39 @@ def test_gamma_model_on_its_own_base(capsys):
         assert cli.main(argv + common) == 0
         return json.loads(capsys.readouterr().out)
 
+    def plus_zeros(terms):
+        # == 0.0 also holds for -0.0; copysign reads the sign bit
+        return terms == [0.0] * len(terms) and all(
+            math.copysign(1.0, t) == 1.0 for t in terms)
+
     for p in (0.05, 0.5, 0.9):
         doc = answer(["quantile", "--p", str(p)])
-        assert [row["term"] for row in doc["rows"][1:]] == [0.0] * 8
+        assert plus_zeros([row["term"] for row in doc["rows"][1:]]), p
         exact = scipy.stats.gamma.ppf(p, m) / m
         assert abs(doc["value"] - exact) <= 1e-12, (p, doc["value"], exact)
     for y in (-1.5, 0.5, 2.0):
         g = m * (1 + sigma * y)
         doc = answer(["cdf", "--x", str(y)])
-        assert doc["terms"] == [0.0] * 8
+        assert plus_zeros(doc["terms"]), y
         assert abs(doc["value"] - scipy.stats.gamma.cdf(g, m)) <= 1e-12, y
         # (-d/dy)^i of Y's density is (m sigma)^{i+1} f(g) H_i(g), with
         # H_1 = 1 - (m-1)/g and H_2 = H_1^2 - (m-1)/g^2 for the Gamma(m) f
         h1 = 1 - (m - 1) / g
         for i, h in enumerate((1.0, h1, h1 ** 2 - (m - 1) / g ** 2)):
             doc = answer(["density", "--x", str(y), "--i", str(i)])
-            assert doc["terms"][1:] == [0.0] * 8
+            assert plus_zeros(doc["terms"][1:]), (y, i)
             exact = (m * sigma) ** (i + 1) * scipy.stats.gamma.pdf(g, m) * h
             assert abs(doc["value"] - exact) <= 1e-12 * max(1.0, abs(exact)), (y, i)
+    mirrored = engine.ExpansionContext.matched_gamma(
+        cumulants.model_gamma().negated(), m)
+    assert mirrored.flipped
+    for p in (0.05, 0.5, 0.9):
+        rows = mirrored.quantile(p, 8)["rows"]
+        assert plus_zeros([row["term"] for row in rows[1:]]), p
+    for y in (-2.0, -0.5, 1.5):
+        assert plus_zeros(mirrored.cdf(y, 8)["terms"]), y
+        for i in range(3):
+            assert plus_zeros(mirrored.density(y, i, 8)["terms"][1:]), (y, i)
     elapsed = time.time() - t0
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
     _report("gamma model on its own base", t0)

@@ -288,6 +288,52 @@ def test_split_equals_generic_under_regimes():
             assert engine.e_r_standardized(kind, r, A) == routes.e_r_closed(kind, r, A), (kind, r)
 
 
+def _covered_order(atable, top=8):
+    """The highest order <= top whose coefficients ``atable`` declares."""
+    for r in range(1, top + 1):
+        try:
+            cumulants.validate_for_order(atable, r)
+        except cumulants.ModelOrderError:
+            return r - 1
+    return top
+
+
+def test_bracket_sum_keeps_term_order():
+    """``e_r_standardized`` sums every bracket into one dict (in integers
+    over a common denominator when the coefficients are exact); its terms
+    equal the bracket-by-bracket Fraction sum's, value and type, in the same
+    order, which the float evaluation's summation order follows.  Every
+    built-in model raw and matched at each (J, K) of ``ROW_SCHEDULE`` it
+    covers, a float-valued model and a symbolic pattern table."""
+    models = [cumulants.model_lnF(24, 60), cumulants.model_gamma(),
+              cumulants.model_sample_variance(
+                  {2: 1, 3: 2, 4: 9, 5: 44, 6: 265, 7: 1854, 8: 14833,
+                   10: 1334961}),
+              cumulants.model_studentized_mean(2, 9, 44)]
+    tables = []
+    for table in models:
+        tables.append(engine.ExpansionContext.raw(table, 50).atable)
+        for J, K in sorted(set(engine.ROW_SCHEDULE.values())):
+            try:
+                ctx = engine.ExpansionContext.matched_gamma(table, 50, J, K)
+            except cumulants.ModelOrderError:
+                continue
+            tables.append(ctx.atable)
+    raw = cumulants.standardize(models[0])
+    floats = cumulants.ATable({k: float(v) for k, v in raw.entries.items()},
+                              raw.defined, label="lnF(24,60) in floats")
+    cases = [(A, _covered_order(A)) for A in tables + [floats]]
+    cases.append((engine._pattern_atable(2, 3, True), 5))
+    for A, top in cases:
+        assert top >= 2, A.label
+        for kind in ("h", "f", "g"):
+            for r in range(1, top + 1):
+                got = list(engine.e_r_standardized(kind, r, A).terms.items())
+                want = list(routes.e_r_by_bracket(kind, r, A).terms.items())
+                assert got == want, (A.label, kind, r)
+                assert [type(c) for _, c in got] == [type(c) for _, c in want]
+
+
 def test_e1_vanishes_when_matched_and_centered():
     A = random_pattern_table(1, 1)
     for kind in ("h", "f", "g"):

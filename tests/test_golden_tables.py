@@ -304,7 +304,7 @@ NUMERIC_QUESTIONS = {"quantile": ["--p", "0.7"], "cdf": ["--x", "-1.3"],
                      "density": ["--x", "0.4", "--i", "2"]}
 NUMERIC_SHA256 = {
     ("quantile", "lnF24_60", "normal"): "a8ded43b7b5d0bd50be6c77c76c5a957d0a4e84042e8caed93881265b4c5563a",
-    ("quantile", "lnF24_60", "gamma"): "c04ef6a97647c78b5776def0652ed5c41a353031da5f5568569d9052ecf64b90",
+    ("quantile", "lnF24_60", "gamma"): "73557c7e43abaf3d17df0de53c1fb44a35b2ebf6055f28b986a8ef34aa6430b9",
     ("cdf", "lnF24_60", "normal"): "0e87aa6a31065af81dd2fe34737e60f8b3e3fb43f42cab2b33c7ca251e50ce11",
     ("cdf", "lnF24_60", "gamma"): "a4b5106111d66558017db49ff72824ea64ceeef9cb5a822a911f0fe77770db1e",
     ("density", "lnF24_60", "normal"): "8f9e8d816424bb4b3d4eef7584ed70957d7e40a8ce6a80b820b2812f5d0f568f",
@@ -312,11 +312,11 @@ NUMERIC_SHA256 = {
     ("quantile", "lnF60_24", "normal"): "9a1f7686594978dd73d3a35d4bdff5f246fcd65590f4b3c37e884150e1c1fff4",
     ("quantile", "lnF60_24", "gamma"): "bad8a615f3eab79f02391b1c7e68e22a4192e3c3179dda824b268b6cab9669ed",
     ("cdf", "lnF60_24", "normal"): "4df9ad50709b58e7e21a60a93499aef65fa11cd2b3a8da4d844cb85a6911aec1",
-    ("cdf", "lnF60_24", "gamma"): "d1832fb23c9b5be0402d6267b35bafb3095bd7a3c6b062dd3352c4960165b66a",
+    ("cdf", "lnF60_24", "gamma"): "49f71d0b13d503c4e1bf8fd4a49a53f561223b7cc30ddfcb3870734039fa150e",
     ("density", "lnF60_24", "normal"): "eb623d781300730ebc13a6c55782c2f936f7940699f4a3bbd5efb225befab097",
     ("density", "lnF60_24", "gamma"): "a650de63ddd48ee2f56ca532690236df5d0ded934f53ab0c56b372c7c6246f15",
     ("quantile", "studentized", "normal"): "15205fd64b4866866472ee9996255f4fc2b9a5274f5d31c7f49a8dfdefb17c52",
-    ("quantile", "studentized", "gamma"): "1f1a0598673258f0c04799d597f820144ca1c59df097dd319d07b56558cf66e0",
+    ("quantile", "studentized", "gamma"): "4ea53d8c33eaa698ec0924b51c9ecafcae796f887b4ad6577c454a987965f5b2",
     ("cdf", "studentized", "normal"): "49e8f056821644fe13cc5fe7cefb0a1256b99574484789c2c0b3816958e55aa1",
     ("cdf", "studentized", "gamma"): "82bfc2cb40f4b795c764d3d113059de603f14c68879cbdd4c88c006197110187",
     ("density", "studentized", "normal"): "49f89703af541065876c155d0f510c760c752b8eb0c8377e7e6c81c1691c1c63",
