@@ -65,8 +65,9 @@ def quartiles(values):
     return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-def verdict(parent, change, better, bound):
-    """One metric's reading over paired runs, ``bound`` relative:
+def verdict(parent, change, wins, better, bound):
+    """One metric's reading over paired runs, of which the change won
+    ``wins``, with ``bound`` relative:
 
     - "gain": the change wins at least 9 of 10 pairs, and its median beats
       the parent's by more than the parent's interquartile range;
@@ -77,7 +78,6 @@ def verdict(parent, change, better, bound):
     sign = 1 if better == "higher" else -1
     p, c = quartiles(parent), quartiles(change)
     spread = p["q3"] - p["q1"]
-    wins = sum(sign * (cv - pv) > 0 for pv, cv in zip(parent, change))
     ahead = sign * (c["median"] - p["median"])
     if wins >= 0.9 * len(parent) and ahead > spread:
         return "gain"
@@ -125,7 +125,7 @@ def summarize(runs, bench_spec):
                              "change_wins": f"{wins} of {len(pairs)}",
                              "better": direction,
                              "verdict": verdict(values["parent"], values["change"],
-                                                direction, bound[metric])}
+                                                wins, direction, bound[metric])}
         entry["correct"] = all(run["result"]["correct"]
                                for pair in pairs for run in pair)
         entry["failed_share"] = {
