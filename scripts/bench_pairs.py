@@ -11,7 +11,10 @@ working tree, and the file's summary is rebuilt from all the runs it holds,
 so several calls (other workloads, other seeds, traced runs) add up to one
 record.  Per workload and seed, untraced runs give each side's median and
 quartiles of every end-to-end metric, the number of pairs the change wins
-and a verdict (``verdict``); traced runs give the per-layer metrics of the
+and a verdict (``verdict``), and the memory headroom (``rss_headroom``): a
+least-squares line of ``peak_rss_mb`` against ``ops_per_s`` over both
+sides' runs and the rate at which it crosses the ``BENCHMARK.json`` bound
+over the parent's median.  Traced runs give the per-layer metrics of the
 last traced pair.  Keys
 the script does not write (a description of the change, the claim) are
 kept as they are.
@@ -87,6 +90,23 @@ def verdict(parent, change, wins, better, bound):
     return "worse" if -ahead > bound * abs(p["median"]) else "within bound"
 
 
+def rss_headroom(runs, bound):
+    """``peak_rss_mb`` against ``ops_per_s`` over untraced ``runs`` of both
+    sides: the least-squares line (intercept in MB, slope in MB per 1,000
+    ops/s), the correlation, and the rate at which the line reaches
+    ``bound`` over the parent runs' median (None if it does not rise)."""
+    rate = [run["result"]["metrics"]["ops_per_s"]["value"] for run in runs]
+    rss = [run["result"]["metrics"]["peak_rss_mb"]["value"] for run in runs]
+    fit = statistics.linear_regression(rate, rss)
+    limit = (1 + bound) * statistics.median(
+        v for run, v in zip(runs, rss) if run["side"] == "parent")
+    return {"intercept_mb": round(fit.intercept, 2),
+            "mb_per_1000_ops_per_s": round(1000 * fit.slope, 2),
+            "correlation": round(statistics.correlation(rate, rss), 3),
+            "crosses_bound_at_ops_per_s": (round((limit - fit.intercept) / fit.slope, 1)
+                                           if fit.slope > 0 else None)}
+
+
 def summarize(runs, bench_spec):
     """Per workload and seed: each end-to-end metric's median and quartiles
     per side and the pairs the change wins (untraced runs), and the
@@ -126,6 +146,9 @@ def summarize(runs, bench_spec):
                              "better": direction,
                              "verdict": verdict(values["parent"], values["change"],
                                                 wins, direction, bound[metric])}
+        if len(pairs) > 1:
+            entry["rss_headroom"] = rss_headroom(
+                [run for pair in pairs for run in pair], bound["peak_rss_mb"])
         entry["correct"] = all(run["result"]["correct"]
                                for pair in pairs for run in pair)
         entry["failed_share"] = {

@@ -13,8 +13,8 @@ with their count; the script exits 1 if any differs.
 The set covers the symbolic tables (``coeffs`` h/f/g for r <= 8 in the H, a
 and normal bases; ``terms``; ``validate`` with and without ``--deep``), the
 three expansions for four models on both bases at orders 2..8 (the density
-for derivative orders 0..2), and inputs that exit 2, 3 or 4, each in both
-output formats.
+for derivative orders 0..2), inputs that exit 2, 3 or 4, and two ``cdf --mc``
+simulation cross-checks at a fixed seed, each in both output formats.
 """
 
 from __future__ import annotations
@@ -57,6 +57,16 @@ FAILING = [
      "--p", "0.95", "--base", "gamma", "--order", "5"],
 ]
 
+# Simulation cross-checks at a fixed seed, which pin the oracle's stream:
+# lnF(24,60) and the Studentized mean of a normal population (n = 200).
+SIMULATED = [
+    ["cdf", *MODELS["lnF(24,60)"], "--x", "0.5", "--order", "8",
+     "--mc", "1000000", "--seed", "2024"],
+    ["cdf", "--model", "studentized_mean", "--nu3", "0", "--nu4", "3",
+     "--n", "200", "--x", "1.0", "--order", "2", "--mc", "200000",
+     "--population", "normal", "--seed", "2025"],
+]
+
 
 def questions():
     """Every question, as CLI arguments without the output format."""
@@ -72,7 +82,7 @@ def questions():
                 out.append(["cdf", *common, "--x", "0.5"])
                 out += [["density", *common, "--x", "0.5", "--i", str(i)]
                         for i in range(3)]
-    return out + FAILING
+    return out + FAILING + SIMULATED
 
 
 def export(rev, dest):

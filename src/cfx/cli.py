@@ -169,9 +169,6 @@ def cmd_quantile(args):
 
 
 def cmd_cdf(args):
-    if args.mc and args.mc < oracle.MIN_REPLICATIONS:
-        raise ConfigError(f"--mc {args.mc}: a simulation needs at least "
-                          f"{oracle.MIN_REPLICATIONS} replications")
     cfg, _, ctx = _question(args)
     x = args.x
     res = ctx.cdf(x, args.order)
@@ -184,7 +181,10 @@ def cmd_cdf(args):
         lines.append(f"order {r} correction: {t:+.10f}")
     if args.mc:
         spec = _mc_spec(cfg, args.population)
-        est, se = oracle.mc_cdf(spec, float(ctx.n), x, args.mc, seed=args.seed)
+        try:
+            est, se = oracle.mc_cdf(spec, float(ctx.n), x, args.mc, seed=args.seed)
+        except ValueError as e:  # refused before any draw
+            raise ConfigError(f"--mc {args.mc}: {e}") from None
         payload["mc"] = {"estimate": est, "stderr": se, "N": args.mc,
                          "seed": args.seed,
                          "within_3se": bool(abs(value - est) <= 3 * se)}

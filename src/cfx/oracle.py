@@ -10,11 +10,14 @@ agreement with the engine's tables is a genuine two-route check.
 
 ``exact_lnF_quantile`` gives the reference quantile of half the log of an F
 ratio through the regularized incomplete beta, and ``mc_cdf`` estimates the
-distribution of a standardized estimate by direct simulation with a
-counter-based generator (explicit, shard-stable seeding).  One simulation
-serves one x or a sequence of x, and it streams: the statistic is made and
-counted in blocks of about 2^16 draws (0.5 MB), so memory stays at a few MB
-whatever the replication count and sample size.
+distribution of a standardized estimate by direct simulation.  Its stream
+is keyed per shard of 50,000 replications: shard k of a run seeded s draws
+from ``SFC64(SeedSequence(s mod 2^64, spawn_key=(k,)))``, so an answer is
+the same on any machine, thread count and schedule.  A pool of one thread
+per usable CPU runs the shards.  One simulation serves one x or a sequence
+of x, and it streams: the statistic is made and counted in blocks of about
+2^16 draws (0.5 MB), so each running shard holds under 1 MB whatever the
+replication count, with samples of at most 2^20 draws (one 8 MiB row).
 """
 
 from __future__ import annotations
@@ -152,19 +155,29 @@ def exact_lnF_quantile(n1, n2, p):
 # Monte-Carlo distribution oracle
 # ---------------------------------------------------------------------------
 
-_SHARD = 200_000
+# replications per shard: the unit of the keyed stream and of the thread pool
+_SHARD = 50_000
 # draws per block: a shard's statistic is made and counted a block of
 # replications at a time, so memory stays cache-sized and the stream unchanged
 _BLOCK_VALUES = 1 << 16
 MIN_REPLICATIONS = 1000
+# the largest sample of a row statistic: one row of draws is at most 8 MiB
+MAX_SAMPLE = 1 << 20
 
 
-def _rng(seed, shard):
-    # counter-based generator keyed by (seed, shard) so shard results are
-    # independent of worker scheduling
+def _rng(seed, *key):
+    """The SFC64 stream of SeedSequence child ``key`` of a run seeded
+    ``seed``: the same values on any machine, thread count or schedule."""
     import numpy as np
-    return np.random.Generator(np.random.Philox(key=np.array(
-        [seed & 0xFFFFFFFFFFFFFFFF, shard], dtype=np.uint64)))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+        seed & 0xFFFFFFFFFFFFFFFF, spawn_key=key)))
+
+
+def _cpus():
+    """The number of CPUs this process may run on."""
+    import os
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
 
 
 def _draw_population(rng, shape, population):
@@ -185,38 +198,76 @@ def _population_moments(population):
     raise ValueError(f"unknown population {population!r}")
 
 
-def _statistic_blocks(spec, n, rng, m):
-    """The statistic of a shard's m replications, yielded in draw order a
-    block of about ``_BLOCK_VALUES`` draws at a time."""
+def _row_statistic(spec, n):
+    """The statistic of each row of n draws in a block, for the models that
+    simulate samples (Studentized mean, sample variance); None for lnF,
+    whose sampler does not read n.  Refuses a sample it cannot draw."""
     import numpy as np
     model = spec["model"]
     if model == "lnF":
-        n1, n2 = spec["n1"], spec["n2"]
-        scale = math.sqrt(2.0 * n1 * n2 / (n1 + n2))
-        # the stream draws every c1 before any c2, so c1 is kept whole
-        c1 = rng.gamma(n1 / 2.0, size=m)
-        c1 *= 2.0
-        c1 /= n1
-        for lo in range(0, m, _BLOCK_VALUES):
-            c2 = 2.0 * rng.gamma(n2 / 2.0, size=min(_BLOCK_VALUES, m - lo))
-            yield scale * (0.5 * np.log(c1[lo:lo + len(c2)] / (c2 / n2)))
-        return
+        return None
+    if model not in ("studentized_mean", "sample_variance"):
+        raise ValueError(f"unknown model {model!r}")
+    mu = _population_moments(spec["population"])
+    if n != int(n) or not 2 <= n <= MAX_SAMPLE:
+        raise ValueError(f"a simulated sample size must be an integer from 2 "
+                         f"to 2^20 = {MAX_SAMPLE}, not n={float(n):g}")
+
+    def mean_var(d):
+        # row means and variances (divisor n); centres d in place
+        mean = d.mean(axis=1)
+        d -= mean[:, None]
+        var = np.einsum("ij,ij->i", d, d)
+        var /= d.shape[1]
+        return mean, var
+
     if model == "studentized_mean":
         def stat(d):
-            return math.sqrt(n) * d.mean(axis=1) / np.sqrt(d.var(axis=1))
-    elif model == "sample_variance":
-        mu = _population_moments(spec["population"])
+            mean, var = mean_var(d)
+            return math.sqrt(n) * mean / np.sqrt(var)
+    else:
         a21 = mu[4] - mu[2] ** 2
 
         def stat(d):
-            return math.sqrt(n / a21) * (d.var(axis=1) - mu[2])
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    size = int(n)
+            return math.sqrt(n / a21) * (mean_var(d)[1] - mu[2])
+    return stat
+
+
+def _statistic_blocks(spec, n, stat, seed, shard, m):
+    """The statistic of shard ``shard``'s m replications, yielded in draw
+    order a block of about ``_BLOCK_VALUES`` draws at a time."""
+    import numpy as np
+    if stat is None:
+        # lnF: (1/2) ln of the ratio of two scaled chi-squares, each drawn
+        # as twice a gamma variate from its own child stream of the shard
+        n1, n2 = spec["n1"], spec["n2"]
+        scale = 0.5 * math.sqrt(2.0 * n1 * n2 / (n1 + n2))
+        rng1, rng2 = _rng(seed, shard, 0), _rng(seed, shard, 1)
+        for lo in range(0, m, _BLOCK_VALUES):
+            size = min(_BLOCK_VALUES, m - lo)
+            y = rng1.gamma(n1 / 2.0, size=size)
+            y /= rng2.gamma(n2 / 2.0, size=size)
+            y *= n2 / n1
+            np.log(y, out=y)
+            y *= scale
+            yield y
+        return
+    rng, size = _rng(seed, shard), int(n)
     rows = max(1, _BLOCK_VALUES // size)
     for lo in range(0, m, rows):
         shape = (min(rows, m - lo), size)
         yield stat(_draw_population(rng, shape, spec["population"]))
+
+
+def _shard_counts(spec, n, stat, xs, seed, shard, m):
+    """How many of shard ``shard``'s m replications lie at or below each
+    x of ``xs``."""
+    import numpy as np
+    counts = [0] * len(xs)
+    for y in _statistic_blocks(spec, n, stat, seed, shard, m):
+        for i, xi in enumerate(xs):
+            counts[i] += int(np.count_nonzero(y <= xi))
+    return counts
 
 
 def mc_cdf(spec, n, x, N, seed):
@@ -231,23 +282,35 @@ def mc_cdf(spec, n, x, N, seed):
     ``x`` may also be a sequence: one simulation then gives a list of pairs,
     each equal to what a call with that point alone gives.
 
-    Deterministic under a fixed seed: replications are sharded and each
-    shard's stream is keyed by (seed, shard index), so the result does not
-    depend on how shards are scheduled.
+    The stream: the N replications form shards of 50,000 (the last may be
+    shorter), and shard k of a run seeded s draws from
+    ``SFC64(SeedSequence(s mod 2^64, spawn_key=(k,)))``; for lnF the two
+    chi-square variates of a replication come from the child keys (k, 0)
+    and (k, 1).  A pool of one thread per CPU the process may use runs the
+    shards (numpy releases the interpreter lock in its draws and
+    reductions) and adds their integer counts, so the answer is a pure
+    function of (spec, n, x, N, seed), the same for any thread count and
+    block size.  Each running shard holds about two blocks of 2^16 values
+    (under 1 MB); a row statistic's block holds at least one row of n
+    draws, so n of a Studentized mean or sample variance must be an
+    integer from 2 to 2^20 (8 MiB a row).  ``ValueError`` refuses any other
+    n, fewer than ``MIN_REPLICATIONS`` replications, or an unknown model
+    or population, before any draw.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy as np
     if N < MIN_REPLICATIONS:
         raise ValueError(f"N={N} replications is too noisy to be meaningful")
+    stat = _row_statistic(spec, n)
     scalar = np.ndim(x) == 0
     xs = [x] if scalar else list(x)
-    counts = [0] * len(xs)
-    for shard, done in enumerate(range(0, N, _SHARD)):
-        rng = _rng(seed, shard)
-        for y in _statistic_blocks(spec, n, rng, min(_SHARD, N - done)):
-            for i, xi in enumerate(xs):
-                counts[i] += int(np.count_nonzero(y <= xi))
+    shards = [(k, min(_SHARD, N - lo)) for k, lo in enumerate(range(0, N, _SHARD))]
+    with ThreadPoolExecutor(max_workers=min(_cpus(), len(shards))) as pool:
+        per_shard = list(pool.map(
+            lambda km: _shard_counts(spec, n, stat, xs, seed, *km), shards))
     out = []
-    for count in counts:
+    for count in map(sum, zip(*per_shard)):
         est = count / N
         out.append((est, math.sqrt(max(est * (1.0 - est), 1e-12) / N)))
     return out[0] if scalar else out

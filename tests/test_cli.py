@@ -186,12 +186,14 @@ def test_cdf_mc_cross_check(capsys):
 
 
 def test_import_does_not_load_numpy():
+    # the simulation's numpy and thread pool load only when it runs
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, cfx.cli; print('numpy' in sys.modules)"],
+         "import sys, cfx.cli; print('numpy' in sys.modules, "
+         "'concurrent.futures' in sys.modules)"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def assert_config_error(argv, capsys):
@@ -216,6 +218,18 @@ def test_negative_order(capsys):
 def test_too_few_replications(capsys):
     assert_config_error(["cdf", "--model", "lnF", "--n1", "24", "--n2", "60",
                          "--x", "1.0", "--mc", "10"], capsys)
+
+
+@pytest.mark.parametrize("n", ["50.5", "1e9", "1"])
+def test_mc_sample_size_it_cannot_draw(n, capsys):
+    # a simulated sample is a whole number of draws, at least two for a
+    # variance, and one row of them stays at 8 MiB or less (n <= 2^20);
+    # each is refused before any draw
+    err = assert_config_error(
+        ["cdf", "--model", "studentized_mean", "--nu3", "0", "--nu4", "3",
+         "--n", n, "--x", "1", "--order", "2", "--mc", "20000",
+         "--population", "normal"], capsys)
+    assert "2^20" in err
 
 
 def test_custom_model_without_table(capsys):

@@ -94,20 +94,43 @@ def test_mc_matches_lnF_cdf_expansion():
     assert abs(approx - est) <= 3 * se, (approx, est, se)
 
 
-# (spec, n, x, N, seed) -> (est, se), as one whole-shard draw gave them
+def exact_cdf(spec, n, x):
+    """P(Y <= x) from the exact law where one is known, else None: lnF
+    through the incomplete beta, and the Studentized mean of a normal
+    population through Student's t with n - 1 degrees of freedom."""
+    if spec["model"] == "lnF":
+        n1, n2 = spec["n1"], spec["n2"]
+        return oracle.lnF_cdf(n1, n2, x / math.sqrt(2 * n1 * n2 / (n1 + n2)))
+    if spec == {"model": "studentized_mean", "population": "normal"}:
+        return float(scipy.stats.t.cdf(x * math.sqrt((n - 1) / n), n - 1))
+    return None
+
+
+def assert_near_exact(spec, n, x, got):
+    # a pinned estimate must also be a fair draw from the exact law, so a
+    # re-pin cannot hide a biased sampler
+    exact = exact_cdf(spec, n, x)
+    if exact is not None:
+        est, se = got
+        assert abs(est - exact) <= 4 * se, (spec, est, exact, se)
+
+
+# (spec, n, x, N, seed) -> (est, se) of the SFC64 stream keyed by
+# SeedSequence(seed, spawn_key=(shard,))
 MC_PINNED = [
     ({"model": "lnF", "n1": 24, "n2": 60}, None, 0.5, 250_000, 7,
-     (0.709748, 0.0009077571844849261)),
+     (0.709568, 0.0009079234623601265)),
     ({"model": "studentized_mean", "population": "standardized_exponential"},
-     50.0, 0.3, 210_000, 3, (0.6348142857142857, 0.001050680297456632)),
+     50.0, 0.3, 210_000, 3, (0.6359333333333334, 0.0010499934895237817)),
     ({"model": "sample_variance", "population": "standardized_exponential"},
-     40.0, -0.5, 205_000, 11, (0.37255609756097563, 0.0010678404277681935)),
+     40.0, -0.5, 205_000, 11, (0.37257560975609755, 0.0010678517864887286)),
 ]
 
 
 @pytest.mark.parametrize("spec, n, x, N, seed, want", MC_PINNED)
 def test_mc_estimates_pinned(spec, n, x, N, seed, want):
     assert oracle.mc_cdf(spec, n, x, N, seed=seed) == want
+    assert_near_exact(spec, n, x, want)
 
 
 @pytest.mark.parametrize("block", [1 << 10, 1 << 20])
@@ -118,8 +141,37 @@ def test_mc_estimates_independent_of_block_size(block, monkeypatch):
         assert oracle.mc_cdf(spec, n, x, N, seed=seed) == want, spec
 
 
+def test_mc_estimates_independent_of_thread_count(monkeypatch):
+    # the shards' integer counts add the same whichever thread ran them;
+    # the lnF case spans five shards
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(oracle, "_cpus", lambda: threads)
+        for spec, n, x, N, seed, want in MC_PINNED:
+            assert oracle.mc_cdf(spec, n, x, N, seed=seed) == want, (threads, spec)
+
+
+@pytest.mark.parametrize("spec", [
+    {"model": "studentized_mean", "population": "normal"},
+    {"model": "sample_variance", "population": "standardized_exponential"},
+], ids=["studentized_mean", "sample_variance"])
+@pytest.mark.parametrize("n", [50.5, (1 << 20) + 1, 1e9, 1.0])
+def test_mc_refuses_sample_sizes_it_cannot_draw(spec, n):
+    # a row of draws is a whole sample: a fraction of a draw cannot be
+    # made, and a row past 2^20 draws would take more than 8 MiB
+    with pytest.raises(ValueError, match="2\\^20"):
+        oracle.mc_cdf(spec, n, 0.0, 2000, seed=1)
+
+
+def test_mc_lnF_ignores_n():
+    # lnF's n is the non-integer harmonic mean of its degrees of freedom,
+    # which its sampler does not read
+    spec = {"model": "lnF", "n1": 24, "n2": 60}
+    assert (oracle.mc_cdf(spec, 2 * 24 * 60 / 84, 0.5, 2000, seed=1)
+            == oracle.mc_cdf(spec, None, 0.5, 2000, seed=1))
+
+
 @pytest.mark.parametrize("spec, n, N", [
-    ({"model": "lnF", "n1": 24, "n2": 60}, None, 450_000),  # three shards
+    ({"model": "lnF", "n1": 24, "n2": 60}, None, 450_000),  # nine shards
     ({"model": "studentized_mean", "population": "standardized_exponential"},
      50.0, 30_000),
     ({"model": "sample_variance", "population": "normal"}, 40.0, 30_000),
@@ -132,12 +184,15 @@ def test_mc_vector_x_equals_scalar_calls(spec, n, N):
     assert oracle.mc_cdf(spec, n, (0.0,), N, seed=5) == [got[2]]
 
 
-def test_mc_memory_bounded():
+def test_mc_memory_bounded(monkeypatch):
+    # memory grows with the shards running at once, under 1 MB each, so
+    # the bound is asked at a fixed three threads on any machine
+    monkeypatch.setattr(oracle, "_cpus", lambda: 3)
     cases = [
         ({"model": "studentized_mean", "population": "normal"}, 200.0, 1.0,
-         200_000, (0.83962, 0.0008205432822222115)),
+         200_000, (0.839955, 0.000819849370235167)),
         ({"model": "lnF", "n1": 24, "n2": 60}, None, 0.5,
-         1_000_000, (0.710029, 0.00045374862992520425)),
+         1_000_000, (0.709331, 0.0004540710654060661)),
     ]
     for spec, n, x, N, want in cases:
         tracemalloc.start()
@@ -147,6 +202,7 @@ def test_mc_memory_bounded():
         finally:
             tracemalloc.stop()
         assert got == want, spec
+        assert_near_exact(spec, n, x, got)
         assert peak < 8e6, (spec, peak)
 
 
