@@ -22,7 +22,7 @@ res_raw = engine.quantile_expand(raw, 0.95, 4, exact=exact)
 
 ctx = engine.ExpansionContext.matched_gamma(table, n, J=1, K=1)
 print(f"matched gamma: tau = {ctx.tau} (exact rational), shape m = n*tau = {ctx.m:.4f}")
-print(f"estimate mirrored first (negative skew): {ctx.flipped}")
+print(f"reflected gamma base (negative skew): {ctx.flipped}")
 res_g = ctx.quantile(0.95, 4)  # answered in the estimate's own frame
 
 print("\norder   normal-base error   gamma-base error")

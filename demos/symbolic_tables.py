@@ -30,10 +30,10 @@ print("\nThe inversion ladder behind f_r (symbolic, exact):")
 for k in range(1, 6):
     print(f"  c_{k} = {hbasis.c_function(k).text()}")
 
-print("\nCompact rendering of a large coefficient, g(3^4):")
+print("\nA large coefficient, g(3^4):")
 g4 = dict(engine.coefficient_table("g", 4))
 from cfx.partitions import Partition
-print(" ", g4[Partition.of(3, 3, 3, 3)].compact())
+print(" ", g4[Partition.of(3, 3, 3, 3)].text())
 
 print("\nTwo derivations, one answer: the reversion oracle re-derives f_3, g_3")
 from cfx import oracle

@@ -8,7 +8,10 @@ tree (the change) and once in a fresh export of the parent commit REV (``git
 archive``, as ``scripts/bench_pairs.py`` makes it, so the repository gains no
 worktree metadata).  The report gives every question's exit code and stdout
 sha256 on both sides, marks the questions whose answers differ, and ends
-with their count; the script exits 1 if any differs.
+with their count; the script exits 1 if any differs.  Under each differing
+JSON answer it prints the largest absolute difference over the numbers of
+the two documents, or "structure differs" where their shapes or other
+values differ.
 
 The set covers the symbolic tables (``coeffs`` h/f/g for r <= 8 in the H, a
 and normal bases; ``terms``; ``validate`` with and without ``--deep``), the
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -94,12 +98,45 @@ def export(rev, dest):
 
 
 def ask(checkout, argv):
-    """(exit code, stdout sha256) of one fresh CLI process in ``checkout``."""
+    """(exit code, stdout) of one fresh CLI process in ``checkout``."""
     env = dict(os.environ, PYTHONPATH=str(Path(checkout) / "src"))
     env.pop("CFX_MAX_ORDER", None)
     proc = subprocess.run([sys.executable, "-m", "cfx.cli", *argv], cwd=checkout,
                           env=env, capture_output=True, timeout=600)
-    return proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
+    return proc.returncode, proc.stdout
+
+
+def largest_difference(a, b):
+    """The largest |a - b| over the numbers of two JSON documents of one
+    shape, or None if their shapes or non-numeric values differ."""
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    if number(a) and number(b):
+        return abs(a - b)
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        pairs = [(a[k], b[k]) for k in a]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        pairs = zip(a, b)
+    else:
+        return 0.0 if a == b else None
+    worst = 0.0
+    for x, y in pairs:
+        d = largest_difference(x, y)
+        if d is None:
+            return None
+        worst = max(worst, d)
+    return worst
+
+
+def moved(parent_out, change_out):
+    """How far a JSON answer moved: its largest difference, or "structure
+    differs"."""
+    try:
+        d = largest_difference(json.loads(parent_out), json.loads(change_out))
+    except json.JSONDecodeError:
+        d = None
+    return "structure differs" if d is None else f"largest |difference| {d:.3g}"
 
 
 def main(argv=None):
@@ -121,8 +158,11 @@ def main(argv=None):
     for q, (parent, change) in zip(asked, answers):
         same = parent == change
         differ += not same
-        print(f"{'same' if same else 'DIFF'}  {parent[0]} {parent[1][:16]}  "
-              f"{change[0]} {change[1][:16]}  cfx {' '.join(q)}")
+        digests = [hashlib.sha256(out).hexdigest()[:16] for _, out in (parent, change)]
+        print(f"{'same' if same else 'DIFF'}  {parent[0]} {digests[0]}  "
+              f"{change[0]} {digests[1]}  cfx {' '.join(q)}")
+        if not same and q[-1] == "json":
+            print(f"      {moved(parent[1], change[1])}")
     print(f"{len(asked)} questions, {differ} differ")
     return 1 if differ else 0
 

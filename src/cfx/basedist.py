@@ -366,13 +366,14 @@ class GammaBase:
 
 
 class AffineBase:
-    """X = (Y - mu)/sigma for an inner base Y; sigma > 0."""
+    """X = (Y - mu)/sigma for an inner base Y; sigma is nonzero, and a
+    negative sigma reflects Y, so X carries the opposite skewness."""
 
     kind = "affine"
 
     def __init__(self, inner, mu, sigma):
-        if sigma <= 0:
-            raise DomainError(f"affine scale {sigma} <= 0")
+        if not sigma:
+            raise DomainError(f"affine scale {sigma} is zero")
         self.inner = inner
         self.mu = mu
         self.sigma = sigma
@@ -381,13 +382,21 @@ class AffineBase:
         return self.mu + self.sigma * x
 
     def pdf(self, x):
-        return self.sigma * self.inner.pdf(self._y(x))
+        return abs(self.sigma) * self.inner.pdf(self._y(x))
 
     def cdf(self, x):
-        return self.inner.cdf(self._y(x))
+        inner = self.inner.cdf(self._y(x))
+        return inner if self.sigma > 0 else 1.0 - inner
 
     def inv_cdf(self, p):
-        return (self.inner.inv_cdf(p) - self.mu) / self.sigma
+        if self.sigma > 0:
+            return (self.inner.inv_cdf(p) - self.mu) / self.sigma
+        if not 0.0 < p < 1.0:
+            raise DomainError(f"probability {p} not in (0, 1)")
+        if 1.0 - p == 1.0:
+            raise DomainError(f"probability {p}: a reflected base is inverted "
+                              f"at 1 - p, which rounds to 1")
+        return (self.inner.inv_cdf(1.0 - p) - self.mu) / self.sigma
 
     def h_seq(self, x, rmax):
         inner = self.inner.h_seq(self._y(x), rmax)
@@ -408,7 +417,3 @@ def gamma(m):
 def affine(inner, mu, sigma):
     return AffineBase(inner, mu, sigma)
 
-
-def standardized_gamma(m):
-    """The base X = (G - m)/sqrt(m) used by the skew-matched pipeline."""
-    return AffineBase(GammaBase(m), m, math.sqrt(m))

@@ -119,7 +119,9 @@ class CumulantTable(_TableBase):
         self.entries[(2, 1)] = a21
 
     def negated(self):
-        """The table of the mirrored estimate: flips odd-order rows."""
+        """The table of the negated estimate -theta^: flips odd-order rows.
+        ``model_gamma().negated()`` is the matching partner of a left-skewed
+        estimate."""
         flipped = {(r, i): (v if r % 2 == 0 else -v)
                    for (r, i), v in self.entries.items()}
         return CumulantTable(-self.theta, self.a21, flipped, self.defined,
@@ -252,15 +254,14 @@ class JKAdjustedTable(_LazyATable):
 
 def match_tau(a_theta, a_w):
     """The scale ratio making the skewness coefficients cancel:
-    tau = (A_32w/A_32theta)^2."""
+    tau = (A_32w/A_32theta)^2.  The two must have the same sign: a
+    left-skewed estimate is matched with a negated gamma table."""
     s_t = a_theta.get(3, 2)
     s_w = a_w.get(3, 2)
     if not s_t or not s_w:
         raise MatchingError("skewness coefficient A_32 is zero; cannot match")
-    if s_t < 0 or s_w < 0:
-        raise MatchingError(
-            "skewness coefficients must be positive; negate the estimate first"
-        )
+    if (s_t < 0) != (s_w < 0):
+        raise MatchingError("skewness coefficients of opposite signs cannot match")
     ratio = s_w / s_t
     return ratio * ratio
 

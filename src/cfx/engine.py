@@ -221,12 +221,12 @@ class ExpansionContext:
 
     The frame is one affine map between the estimate's standardized variable
     Y = (theta^ - theta)/sigma, sigma = sqrt(a21/n), and the base variable
-    w = (sign*theta^ - center)/scale, where sign is -1 for an estimate
-    mirrored before expansion (``flipped``).  The kernels ``cdf_expand``,
+    w = (theta^ - center)/scale, on every base.  The kernels ``cdf_expand``,
     ``quantile_expand`` and ``density_expand`` answer in w; the methods
     ``quantile`` (theta^ units), ``cdf`` and ``density`` (Y units) answer
-    for the estimate itself, on every base.  A raw context maps Y to w = Y
-    bit for bit.
+    for the estimate itself.  A left-skewed estimate needs no mirror: its
+    matched gamma base is reflected (``flipped``) and carries the negative
+    skewness itself.  A raw context maps Y to w = Y bit for bit.
 
     The context builds each order's standardized h polynomial e_r^h the
     first time a cdf or density asks for it, and keeps it (``h_series``),
@@ -239,7 +239,7 @@ class ExpansionContext:
     ``atable`` not being mutated once the context is made.  The quantile's
     g series is still built per call."""
 
-    def __init__(self, atable, n, base, theta, sigma, center, scale, sign=1,
+    def __init__(self, atable, n, base, theta, sigma, center, scale,
                  tau=None, m=None):
         self.atable = atable
         self.n = n
@@ -248,19 +248,20 @@ class ExpansionContext:
         self.sigma = sigma
         self.center = center
         self.scale = scale
-        self.sign = sign
         self.tau = tau
         self.m = m
         # w = slope * (y - y0): y0 is the Y value at which w = 0
-        self._slope = sign * sigma / scale
-        self._y0 = (center - sign * theta) / (sign * sigma)
+        self._slope = sigma / scale
+        self._y0 = (center - theta) / sigma
         self._h_series = {}
         self._h_rows = {}
         self._valid_to = 0
 
     @property
     def flipped(self):
-        return self.sign < 0
+        """Whether the base is reflected: a left-skewed estimate on the
+        matched gamma base."""
+        return getattr(self.base, "sigma", 1) < 0
 
     @classmethod
     def raw(cls, table, n):
@@ -276,63 +277,47 @@ class ExpansionContext:
     def matched_gamma(cls, table, n, J=1, K=1):
         """The skew-matched gamma pipeline.
 
-        Mirrors the estimate when its skewness coefficient is negative
-        (sign -1), truncates the mean/variance series at (J, K), matches the
+        Truncates the mean/variance series at (J, K), matches the
         third-order coefficient with a gamma of mean m = n*tau, and expands
-        the difference about the standardized gamma base.
+        the difference about the standardized gamma base
+        X = (G - m)/(+-sqrt(m)), whose scale takes the sign of the
+        estimate's skewness coefficient A_32: a left-skewed estimate is
+        matched with the reflected gamma, G/m negated.
         """
         _check_n(n)
-        sign = 1
-        work = table
-        a32 = cumulants.standardize(table).get(3, 2)
+        a_theta = cumulants.standardize(table)
+        a32 = a_theta.get(3, 2)
         if a32 == 0:
             raise cumulants.MatchingError("estimate has zero skewness coefficient")
-        if a32 < 0:
-            work = table.negated()
-            sign = -1
-        a_theta = cumulants.standardize(work)
+        gamma = cumulants.model_gamma()
         a_theta_jk = cumulants.JKAdjustedTable(a_theta, J, K)
         a_w_jk = cumulants.JKAdjustedTable(
-            cumulants.standardize(cumulants.model_gamma()), J, K)
+            cumulants.standardize(gamma if a32 > 0 else gamma.negated()), J, K)
         tau = cumulants.match_tau(a_theta_jk, a_w_jk)
         diff = cumulants.DiffTable(a_theta_jk, a_w_jk, tau, matched_skew=True)
-        s1, s2 = cumulants.truncated_mean_var(work, J, K, n)
+        s1, s2 = cumulants.truncated_mean_var(table, J, K, n)
         m = float(n) * float(tau)
-        return cls(diff, n, basedist.standardized_gamma(m), float(table.theta),
+        base = basedist.affine(basedist.gamma(m), m, math.copysign(math.sqrt(m), a32))
+        return cls(diff, n, base, float(table.theta),
                    math.sqrt(float(table.a21) / float(n)), float(s1),
-                   math.sqrt(float(s2)), sign, tau=tau, m=m)
+                   math.sqrt(float(s2)), tau=tau, m=m)
 
     def _w(self, y):
         return self._slope * (y - self._y0)
 
     def quantile(self, p, R, exact=None):
         """``quantile_expand`` for the estimate: terms and totals in theta^
-        units; ``exact`` is a theta^ quantile.  A mirrored context answers
-        at 1 - p and negates every column."""
-        if self.sign > 0:
-            return _finite(quantile_expand(self, p, R, exact))
-        if not 0.0 < 1.0 - p < 1.0:
-            raise basedist.DomainError(
-                f"probability {p}: a mirrored estimate is expanded at "
-                f"1 - p = {1.0 - p}, which is not in (0, 1)")
-        res = quantile_expand(self, 1.0 - p, R,
-                              None if exact is None else -exact)
-        rows = [{k: v if k == "order" else -v for k, v in row.items()}
-                for row in res["rows"]]
-        return _finite(dict(res, p=p, rows=rows, value=rows[-1]["total"]))
+        units; ``exact`` is a theta^ quantile."""
+        return _finite(quantile_expand(self, p, R, exact))
 
     def cdf(self, y, R):
         """``cdf_expand`` for the estimate: P(Y <= y) to order R."""
-        res = cdf_expand(self, self._w(y), R)
-        if self.sign < 0:
-            res = {"base": 1.0 - res["base"], "value": 1.0 - res["value"],
-                   "terms": [-t for t in res["terms"]]}
-        return _finite(dict(res, x=y))
+        return _finite(dict(cdf_expand(self, self._w(y), R), x=y))
 
     def density(self, y, i, R):
         """``density_expand`` for the estimate: (-d/dy)^i of Y's density at
-        y, which is the base-frame answer times |dw/dy| (dw/dy)^i, with
-        dw/dy = sign*sigma/scale."""
+        y, which is the base-frame answer times (dw/dy)^(i+1), with
+        dw/dy = sigma/scale > 0."""
         res = density_expand(self, self._w(y), i, R)
         jacobian = self._slope ** i * (self.sigma / self.scale)
         return _finite(dict(res, x=y, terms=[t * jacobian for t in res["terms"]],
@@ -389,8 +374,8 @@ class ExpansionContext:
 
 def _finite(res):
     """``res``, checked finite, with its value's and terms' exact zeros made
-    +0.0 (x + 0.0 is x otherwise): -p(x), a mirror or a negative slope
-    times zero is -0.0, which prints with its sign."""
+    +0.0 (x + 0.0 is x otherwise): -p(x) or a reflected base's negative
+    scale times zero is -0.0, which prints with its sign."""
     if not math.isfinite(res["value"]):
         raise basedist.NumericError(f"the expansion evaluated to {res['value']}")
     out = dict(res, value=res["value"] + 0.0)

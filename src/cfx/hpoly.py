@@ -218,18 +218,11 @@ class Poly(SparseMap):
 
     def text(self, symbol="H"):
         """Canonical plain rendering, e.g. ``H7 - 2*H3*H4 + H1*H3^2``."""
-        return self._render(lambda i: f"{symbol}{i}", "*", "*")
-
-    def compact(self):
-        """Compact index notation: ``k·1^{i1}2^{i2}`` with multi-digit
-        indices parenthesized, e.g. ``3·4(11)`` for 3*H4*H11."""
-        return self._render(lambda i: str(i) if i < 10 else f"({i})", "", "·")
-
-    def _render(self, symbol, sep, times):
         out = "0"
         for n, (mono, c) in enumerate(self.sorted_terms()):
-            body = sep.join(symbol(i) + (f"^{mono.count(i)}" if mono.count(i) > 1 else "")
-                            for i in sorted(set(mono)))
+            body = "*".join(
+                f"{symbol}{i}" + (f"^{mono.count(i)}" if mono.count(i) > 1 else "")
+                for i in sorted(set(mono)))
             if not body:
                 frag = str(c)
             elif c == 1:
@@ -237,7 +230,7 @@ class Poly(SparseMap):
             elif c == -1:
                 frag = f"-{body}"
             else:
-                frag = f"{c}{times}{body}"
+                frag = f"{c}*{body}"
             if n == 0:
                 out = frag
             else:

@@ -463,10 +463,10 @@ def test_gamma_model_on_its_own_base(capsys):
     """The scaled gamma estimate is its own matched base, so every
     correction vanishes: ``cfx quantile|cdf|density --model gamma --n 10
     --base gamma`` gives exactly +0.0 for every term of order 1..8, and the
-    total is the exact answer for G/m, G ~ Gamma(m = 10).  The mirrored
-    estimate -G/m, expanded about the same base after its sign flip, gives
-    +0.0 terms too: no zero keeps the sign of -p(x), of the mirror or of a
-    negative slope.  Runtime < 5 s."""
+    total is the exact answer for G/m, G ~ Gamma(m = 10).  The negated
+    estimate -G/m, expanded about the reflected gamma base, gives +0.0
+    terms too: no zero keeps the sign of -p(x) or of the reflected base's
+    negative scale.  Runtime < 5 s."""
     import json
 
     import scipy.stats
@@ -506,16 +506,16 @@ def test_gamma_model_on_its_own_base(capsys):
             assert plus_zeros(doc["terms"][1:]), (y, i)
             exact = (m * sigma) ** (i + 1) * scipy.stats.gamma.pdf(g, m) * h
             assert abs(doc["value"] - exact) <= 1e-12 * max(1.0, abs(exact)), (y, i)
-    mirrored = engine.ExpansionContext.matched_gamma(
+    negated = engine.ExpansionContext.matched_gamma(
         cumulants.model_gamma().negated(), m)
-    assert mirrored.flipped
+    assert negated.flipped
     for p in (0.05, 0.5, 0.9):
-        rows = mirrored.quantile(p, 8)["rows"]
+        rows = negated.quantile(p, 8)["rows"]
         assert plus_zeros([row["term"] for row in rows[1:]]), p
     for y in (-2.0, -0.5, 1.5):
-        assert plus_zeros(mirrored.cdf(y, 8)["terms"]), y
+        assert plus_zeros(negated.cdf(y, 8)["terms"]), y
         for i in range(3):
-            assert plus_zeros(mirrored.density(y, i, 8)["terms"][1:]), (y, i)
+            assert plus_zeros(negated.density(y, i, 8)["terms"][1:]), (y, i)
     elapsed = time.time() - t0
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
     _report("gamma model on its own base", t0)

@@ -170,7 +170,7 @@ def test_h_seq_prefix_stable():
     # a shorter table is the start of a longer one, bit for bit, in floats
     # and in Fractions: one table per point serves every order
     bases = [basedist.normal(), basedist.gamma(3.5), basedist.gamma(F(7, 2)),
-             basedist.standardized_gamma(48.0),
+             basedist.affine(basedist.gamma(48.0), 48.0, math.sqrt(48.0)),
              basedist.affine(basedist.gamma(F(5)), F(5), F(3, 2))]
     for base in bases:
         for x in (F(7, 10), F(13, 4), 0.7, 3.25):
@@ -208,19 +208,48 @@ def test_affine_scaling():
     assert abs(ab.inv_cdf(0.3) - (inner.inv_cdf(0.3) - 4.0) / 2.0) < 1e-12
 
 
+def test_reflected_affine_is_the_mirror_image():
+    # X = (G - m)/(-sqrt(m)) is -X' for X' = (G - m)/sqrt(m), bit for bit:
+    # the cdf at x is 1 - cdf'(-x), the density p'(-x), the p-quantile minus
+    # the (1 - p)-quantile of X', and H_r(x) = (-1)^r H'_r(-x)
+    m = 36.0
+    up = basedist.affine(basedist.gamma(m), m, math.sqrt(m))
+    down = basedist.affine(basedist.gamma(m), m, -math.sqrt(m))
+    for x in (-2.5, -0.4, 0.0, 0.7, 3.1):
+        assert down.cdf(x) == 1.0 - up.cdf(-x), x
+        assert down.pdf(x) == up.pdf(-x), x
+        assert down.h_seq(x, 12) == [(-1) ** r * v for r, v in
+                                     enumerate(up.h_seq(-x, 12), 1)], x
+    for p in (1e-10, 0.05, 0.5, 0.95, 1 - 1e-10):
+        assert down.inv_cdf(p) == -up.inv_cdf(1.0 - p), p
+    # a left tail far past the support: the inner density is 0 there
+    assert down.pdf(7.0) == 0.0 and down.cdf(7.0) == 1.0
+    for scale in (0.0, -0.0, F(0)):
+        with pytest.raises(basedist.DomainError):
+            basedist.affine(basedist.gamma(m), m, scale)
+
+
+def test_reflected_inverse_names_the_probability():
+    # the complement 1 - p of a tiny p rounds to 1: refused, naming p
+    down = basedist.affine(basedist.gamma(4.0), 4.0, -2.0)
+    for p in (1e-17, 0.0, 1.0, 1.5, -0.5):
+        with pytest.raises(basedist.DomainError, match=f"probability {p}"):
+            down.inv_cdf(p)
+
+
 def test_jk_affine_params():
     # the standardized-gamma frame: mu = m, sigma = sqrt(m)
-    sg = basedist.standardized_gamma(4.0)
+    sg = basedist.affine(basedist.gamma(4.0), 4.0, math.sqrt(4.0))
     assert (sg.mu, sg.sigma) == (4.0, 2.0)
     for m in (-1.0, 0.0):
         with pytest.raises(basedist.DomainError):
-            basedist.standardized_gamma(m)
+            basedist.affine(basedist.gamma(m), m, math.sqrt(m))
 
 
 def test_standardized_gamma_moments():
     # X = (G - m)/sqrt(m) has mean 0, variance 1, skewness 2/sqrt(m)
     m = 16.0
-    sg = basedist.standardized_gamma(m)
+    sg = basedist.affine(basedist.gamma(m), m, math.sqrt(m))
     mean, _ = scipy.integrate.quad(lambda t: t * sg.pdf(t), -4.0, 60.0)
     var, _ = scipy.integrate.quad(lambda t: t * t * sg.pdf(t), -4.0, 60.0)
     assert abs(mean) < 1e-9
@@ -281,5 +310,5 @@ def test_jk_affine_composition_with_gamma_model():
     g = cumulants.model_gamma()
     s1, s2 = cumulants.truncated_mean_var(g, 2, 3, m)
     assert s1 == 1 and s2 == F(1, 36)
-    sg = basedist.standardized_gamma(36.0)
+    sg = basedist.affine(basedist.gamma(36.0), 36.0, math.sqrt(36.0))
     assert sg.mu == 36.0 and sg.sigma == 6.0

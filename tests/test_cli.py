@@ -159,6 +159,17 @@ def test_exit_codes(capsys):
     assert err.count("numeric error: ") == err.count("\n") == 7, err
 
 
+@pytest.mark.parametrize("p", ["1e-17", "1"])
+def test_reflected_base_refuses_p_by_its_given_value(p, capsys):
+    # lnF(24, 60) has a reflected gamma base, inverted at 1 - p: for a tiny
+    # p that rounds to 1, and the refusal names p itself
+    argv = ["quantile", "--model", "lnF", "--n1", "24", "--n2", "60",
+            "--base", "gamma", "--p", p, "--no-exact"]
+    assert run(argv) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric error: probability {float(p)}"), err
+
+
 def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "cfx.cli", "quantile", "--model", "lnF",

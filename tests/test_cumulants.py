@@ -288,9 +288,15 @@ def test_match_tau_guards():
     w = cm.standardize(cm.model_gamma())
     with pytest.raises(cm.MatchingError):
         cm.match_tau(A, w)
-    neg = cm.standardize(lnf())  # negative skew, not flipped
+    neg = cm.standardize(lnf())  # negative skew: opposite signs cannot match
     with pytest.raises(cm.MatchingError):
         cm.match_tau(neg, w)
+    with pytest.raises(cm.MatchingError):
+        cm.match_tau(w, neg)
+    # a left-skewed estimate matches the negated gamma, at the same tau as
+    # its own negation matches the gamma
+    w_neg = cm.standardize(cm.model_gamma().negated())
+    assert cm.match_tau(neg, w_neg) == cm.match_tau(cm.standardize(lnf().negated()), w)
 
 
 def test_truncated_mean_var():

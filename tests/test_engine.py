@@ -587,9 +587,9 @@ def test_matched_gamma_quantile_accuracy():
     n = F(2 * 24 * 60, 84)
     exact = oracle.exact_lnF_quantile(24, 60, 0.95)
     ctx = engine.ExpansionContext.matched_gamma(t, n, J=1, K=1)
-    # quantiles map through the mirror: Q_theta(p) = -Q_mirror(1 - p)
-    err1 = -engine.quantile_expand(ctx, 0.05, 1)["value"] - exact
-    err4 = -engine.quantile_expand(ctx, 0.05, 4)["value"] - exact
+    # the kernel answers in the estimate's own frame on the reflected base
+    err1 = engine.quantile_expand(ctx, 0.95, 1)["value"] - exact
+    err4 = engine.quantile_expand(ctx, 0.95, 4)["value"] - exact
     assert abs(err1) < 5e-3
     assert abs(err4) < 1e-3
     assert abs(err4) < abs(err1)
@@ -710,14 +710,14 @@ def test_concurrent_evaluation_after_build():
 
 def test_matched_gamma_cdf_against_exact_lnF():
     # the whole skew-matched pipeline, checked against the exact law: the
-    # context describes the mirrored centered estimate, so
-    # P(Y' <= x) = 1 - F(-(s1 + scale x)) with F the half-log-F cdf
+    # kernel's frame is w = (theta^ - s1)/scale on the reflected base, so
+    # P(w <= x) = F(s1 + scale x) with F the half-log-F cdf
     from cfx import oracle
     t = cumulants.model_lnF(24, 60)
     n = F(2 * 24 * 60, 84)
     ctx = engine.ExpansionContext.matched_gamma(t, n, J=1, K=1)
     for x in (-1.5, -0.5, 0.5, 1.5):
-        exact = 1.0 - oracle.lnF_cdf(24, 60, -(ctx.center + ctx.scale * x))
+        exact = oracle.lnF_cdf(24, 60, ctx.center + ctx.scale * x)
         e0 = engine.cdf_expand(ctx, x, 0)["value"] - exact
         e1 = engine.cdf_expand(ctx, x, 1)["value"] - exact
         e2 = engine.cdf_expand(ctx, x, 2)["value"] - exact

@@ -1,6 +1,7 @@
 """The frame of every answer: ``ExpansionContext.quantile`` in theta^ units,
 ``cdf`` and ``density`` in Y = (theta^ - theta)/sqrt(a21/n), on both bases
-and for mirrored (left-skewed) estimates."""
+and for left-skewed estimates, which the gamma base expands about a
+reflected gamma."""
 
 import json
 import math
@@ -12,7 +13,7 @@ from scipy import stats
 from cfx import cli, cumulants, engine, oracle
 
 N = F(2 * 24 * 60, 84)  # the sample-size parameter of lnF(24, 60) and lnF(60, 24)
-MODELS = [(24, 60), (60, 24)]  # left-skewed (mirrored on the gamma base), right-skewed
+MODELS = [(24, 60), (60, 24)]  # left-skewed (a reflected gamma base), right-skewed
 
 
 def context(model, base):
@@ -54,17 +55,76 @@ def test_context_methods_are_the_cli_answers(model, base, capsys):
     assert doc["value"] == res["value"] and doc["rows"] == res["rows"]
 
 
+# Left-skewed tables, each with its sample size: on the gamma base each is
+# expanded about the reflected gamma, its negation about the plain one.  The
+# custom table's a21 = 2 makes its standardized coefficients floats.
+LEFT_SKEWED = [
+    (cumulants.model_lnF(24, 60), N),
+    (cumulants.model_lnF(8, 30), F(2 * 8 * 30, 38)),
+    (cumulants.model_studentized_mean(2, 9, 44), 200),
+    (cumulants.model_gamma().negated(), 10),
+    (cumulants.CumulantTable(
+        F(1, 4), 2, {(1, 1): F(1, 3), (1, 2): F(-1, 5), (2, 2): F(2),
+                     (2, 3): F(1, 7), (3, 2): F(-3, 2), (3, 3): F(1, 2),
+                     (4, 3): F(3), (4, 4): F(2), (5, 4): F(-5), (6, 5): F(7)},
+        label="custom"), 50),
+]
+
+
+def covered_contexts(table, n):
+    """(J, K, R, context) at every (J, K) of the row schedule the table
+    covers, R the highest order up to 8 it covers there."""
+    out = []
+    for J, K in sorted(set(engine.ROW_SCHEDULE.values())):
+        try:
+            ctx = engine.ExpansionContext.matched_gamma(table, n, J, K)
+        except cumulants.ModelOrderError:
+            continue
+        R = 0
+        while R < 8:
+            try:
+                ctx.validate(R + 1)
+            except cumulants.ModelOrderError:
+                break
+            R += 1
+        out.append((J, K, R, ctx))
+    return out
+
+
+def plus(values):
+    return [v + 0.0 for v in values]
+
+
 def test_mirrored_answers_are_mirror_images():
-    # lnF(60, 24) is the mirror image of lnF(24, 60): Z -> -Z
-    left, right = context((24, 60), "gamma"), context((60, 24), "gamma")
-    for y in (-1.0, 0.0, 1.0):
-        assert left.cdf(y, 4)["value"] == pytest.approx(
-            1.0 - right.cdf(-y, 4)["value"], abs=1e-14)
-        for i in (0, 1):
-            assert left.density(y, i, 4)["value"] == pytest.approx(
-                (-1) ** i * right.density(-y, i, 4)["value"], abs=1e-14)
-    assert left.quantile(0.3, 4)["value"] == pytest.approx(
-        -right.quantile(0.7, 4)["value"], abs=1e-14)
+    # Y of a negated table is -Y, so its answers mirror the table's own:
+    # bit for bit, but for the cdf value, which sums (1 - b) + sum(t)
+    # where the mirror gives 1 - (b + sum(t))
+    for table, n in LEFT_SKEWED:
+        contexts = covered_contexts(table, n)
+        mirrors = covered_contexts(table.negated(), n)
+        assert contexts and [c[:3] for c in contexts] == [c[:3] for c in mirrors]
+        for (J, K, top, left), (*_, right) in zip(contexts, mirrors):
+            assert left.flipped and not right.flipped
+            for R in range(top + 1):
+                assert_mirror_images(left, right, R, (table.label, J, K, R))
+
+
+def assert_mirror_images(left, right, R, where):
+    for p in (0.05, 0.3, 0.5, 0.95):
+        rows = left.quantile(p, R)["rows"]
+        want = [{k: v if k == "order" else -v + 0.0 for k, v in row.items()}
+                for row in right.quantile(1.0 - p, R)["rows"]]
+        assert rows == want, (where, p)
+    for y in (-20.0, -1.5, -0.3, 0.0, 0.8, 2.0):
+        got, mirror = left.cdf(y, R), right.cdf(-y, R)
+        assert got["base"] == 1.0 - mirror["base"], (where, y)
+        assert got["terms"] == plus(-t for t in mirror["terms"]), (where, y)
+        assert abs(got["value"] - (1.0 - mirror["value"])) <= 4e-16, (where, y)
+        for i in (0, 1, 2):
+            got, mirror = left.density(y, i, R), right.density(-y, i, R)
+            sign = (-1) ** i
+            assert got["value"] == sign * mirror["value"] + 0.0, (where, y, i)
+            assert got["terms"] == plus(sign * t for t in mirror["terms"]), (where, y, i)
 
 
 def exact_lnF(quantity, model, arg):
@@ -100,7 +160,7 @@ def test_gamma_base_matches_the_exact_law(model):
 
 
 def test_gamma_cdf_against_simulation(capsys):
-    # lnF(24, 60) is mirrored on the gamma base; its cdf must map back to Y
+    # lnF(24, 60) has a reflected gamma base; its cdf is still P(Y <= y)
     doc = cli_json(["cdf", "--model", "lnF", "--n1", "24", "--n2", "60",
                     "--x", "1.0", "--order", "4", "--base", "gamma",
                     "--mc", "200000", "--seed", "1"], capsys)

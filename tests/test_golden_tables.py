@@ -306,7 +306,7 @@ NUMERIC_SHA256 = {
     ("quantile", "lnF24_60", "normal"): "a8ded43b7b5d0bd50be6c77c76c5a957d0a4e84042e8caed93881265b4c5563a",
     ("quantile", "lnF24_60", "gamma"): "73557c7e43abaf3d17df0de53c1fb44a35b2ebf6055f28b986a8ef34aa6430b9",
     ("cdf", "lnF24_60", "normal"): "0e87aa6a31065af81dd2fe34737e60f8b3e3fb43f42cab2b33c7ca251e50ce11",
-    ("cdf", "lnF24_60", "gamma"): "a4b5106111d66558017db49ff72824ea64ceeef9cb5a822a911f0fe77770db1e",
+    ("cdf", "lnF24_60", "gamma"): "37e086dddff0913c33dc21d9e4843ece4c1bfd9060160b3a98190f24d796e937",
     ("density", "lnF24_60", "normal"): "8f9e8d816424bb4b3d4eef7584ed70957d7e40a8ce6a80b820b2812f5d0f568f",
     ("density", "lnF24_60", "gamma"): "5b0b894585c63c618b78d8b35194dae9213283fc9ba19feb55f13a50eff609a1",
     ("quantile", "lnF60_24", "normal"): "9a1f7686594978dd73d3a35d4bdff5f246fcd65590f4b3c37e884150e1c1fff4",
@@ -318,7 +318,7 @@ NUMERIC_SHA256 = {
     ("quantile", "studentized", "normal"): "15205fd64b4866866472ee9996255f4fc2b9a5274f5d31c7f49a8dfdefb17c52",
     ("quantile", "studentized", "gamma"): "4ea53d8c33eaa698ec0924b51c9ecafcae796f887b4ad6577c454a987965f5b2",
     ("cdf", "studentized", "normal"): "49e8f056821644fe13cc5fe7cefb0a1256b99574484789c2c0b3816958e55aa1",
-    ("cdf", "studentized", "gamma"): "82bfc2cb40f4b795c764d3d113059de603f14c68879cbdd4c88c006197110187",
+    ("cdf", "studentized", "gamma"): "77bb4f7557f3eecc531c89e79454c531ea40d3ca277d3a074ca8b1bd1da8bbcc",
     ("density", "studentized", "normal"): "49f89703af541065876c155d0f510c760c752b8eb0c8377e7e6c81c1691c1c63",
     ("density", "studentized", "gamma"): "36a3fe83e7ab1cb456d421b2b4d5b5dd77ba1d93d20573605f259dc415b925e9",
 }
